@@ -14,7 +14,7 @@ from .rules import dominant_category, rule_holds, rule_relations
 from .mlp import (LayerSpec, MlpModel, ModelFormatError, TrainConfig, TrainReport,
                   accuracy, gradient_check, init_model, load_model, save_model, train)
 from .networks import (PAIR_FEATURE_DIM, RIN_DIMS, RIN_FEATURE_DIM, RPN_DIMS,
-                       NetworkShapeError, encode_pair, encode_relation, rin_confidence,
+                       NetworkShapeError, ScoredScene, encode_pair, encode_relation, rin_confidence,
                        rin_layer_specs, rpn_layer_specs, rpn_probabilities, score_scene,
                        validate_rin, validate_rpn)
 from .pipeline import (EmptyCandidatesError, RelationSets, build_candidate_sets,
@@ -34,9 +34,9 @@ __all__ = [
     "AMBIGUOUS", "CATEGORIES", "PAIR_FEATURE_DIM", "PHRASE_FRAGMENTS", "RIN_DIMS",
     "RIN_FEATURE_DIM", "RPN_DIMS", "UNAMBIGUOUS", "BoundingBox", "DatasetFormatError",
     "EmptyCandidatesError", "EvalReport", "LandmarkRank", "LayerSpec", "MethodCounts",
-    "MlpModel", "ModelFormatError", "NetworkShapeError", "OracleTypeError",
-    "PipelineConfig", "ReferringExpression", "RelationCategory", "RelationSets",
-    "RinSample", "RpnSample", "Scene", "SceneFormatError", "SceneGenSpec", "SceneObject",
+    "MlpModel", "ModelFormatError", "NetworkShapeError", "OracleTypeError", "PipelineConfig",
+    "ReferringExpression", "RelationCategory", "RelationSets", "RinSample", "RpnSample",
+    "Scene", "SceneFormatError", "SceneGenSpec", "SceneObject", "ScoredScene",
     "SpatialRelation", "TrainConfig", "TrainReport", "UnknownObjectError", "accuracy",
     "ambiguity_oracle", "build_candidate_sets", "compare_corpus", "describe",
     "describe_oracle", "distractors", "dominant_category", "eliminate_ambiguous",

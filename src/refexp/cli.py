@@ -30,7 +30,7 @@ METHOD_FAILURE = 1
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(presence_threshold=args.threshold, seed=args.seed)
+    return PipelineConfig(presence_threshold=args.threshold)
 
 
 def _load_models(args: argparse.Namespace):
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--target", type=int, required=True, help="target object id")
     _add_model_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("krreg", help="run the baseline on one target")
@@ -219,14 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True, help="target object id")
     p.add_argument("--rpn", required=True, help="presence model weights file")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_krreg)
 
     p = sub.add_parser("compare", help="evaluate both methods over a scene corpus")
     p.add_argument("corpus", help="JSONL scene corpus")
     _add_model_flags(p)
     p.add_argument("--out", help="report JSON path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("eval-oracle", help="check describe against its brute-force twin")

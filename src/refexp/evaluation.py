@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import pipeline
 from .krreg import krreg_describe
 from .mlp import MlpModel
 from .pipeline import EmptyCandidatesError, describe, describe_oracle
@@ -143,6 +144,7 @@ def compare_corpus(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
                    cfg: PipelineConfig = PipelineConfig()) -> EvalReport:
     """Run both methods on every (scene, target) case and grade each expression.
 
+    Each scene is scored once for all of its targets and both methods.
     Totals depend only on the multiset of scenes; records are ordered by scene
     index, then target id.
     """
@@ -150,12 +152,13 @@ def compare_corpus(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
         raise ValueError("corpus is empty")
     report = EvalReport()
     for scene_index, scene in enumerate(scenes):
+        scored = pipeline.score_scene(rpn, rin, scene) if scene.objects else None
         for target_id in scene.object_ids():
             try:
-                ours = describe(rpn, rin, scene, target_id, cfg)
+                ours = describe(rpn, rin, scene, target_id, cfg, scored=scored)
             except EmptyCandidatesError:
                 ours = None
-            theirs = krreg_describe(rpn, scene, target_id, cfg)
+            theirs = krreg_describe(rpn, scene, target_id, cfg, scored=scored)
             ours_verdict = None if ours is None else ambiguity_oracle(scene, ours)
             krreg_verdict = None if theirs is None else ambiguity_oracle(scene, theirs)
             _count(report.ours, ours_verdict)
@@ -178,19 +181,20 @@ def pipeline_oracle_check(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
     """Count (matches, cases) between describe and its brute-force twin.
 
     A case matches when both produce the identical phrase or both refuse with
-    empty candidates.
+    empty candidates. Each scene is scored once and shared by both.
     """
     matches = 0
     total = 0
     for scene in scenes:
+        scored = pipeline.score_scene(rpn, rin, scene) if scene.objects else None
         for target_id in scene.object_ids():
             total += 1
             try:
-                fast: str | None = describe(rpn, rin, scene, target_id, cfg).phrase
+                fast: str | None = describe(rpn, rin, scene, target_id, cfg, scored=scored).phrase
             except EmptyCandidatesError:
                 fast = None
             try:
-                slow: str | None = describe_oracle(rpn, rin, scene, target_id, cfg).phrase
+                slow: str | None = describe_oracle(rpn, rin, scene, target_id, cfg, scored=scored).phrase
             except EmptyCandidatesError:
                 slow = None
             if fast == slow:

@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .mlp import MlpModel
-from .networks import CATEGORIES, encode_pair, validate_rpn
-from .scene import (PipelineConfig, ReferringExpression, Scene, UnknownObjectError,
-                    render_phrase)
+# encode_pair is not called here; perfbench/tracing.py patches refexp.krreg.encode_pair
+from .networks import ScoredScene, encode_pair, presence_scores, validate_rpn  # noqa: F401
+from .scene import PipelineConfig, ReferringExpression, Scene, render_phrase
 
 DISTANCE_FLOOR = 1e-6
 
@@ -65,24 +63,22 @@ def rank(scene: Scene, target_id: int, landmark_id: int) -> LandmarkRank:
 
 
 def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
-                   cfg: PipelineConfig = PipelineConfig()) -> ReferringExpression | None:
-    """First distinctive relation of the best-ranked landmark, or None."""
+                   cfg: PipelineConfig = PipelineConfig(), *,
+                   scored: ScoredScene | None = None) -> ReferringExpression | None:
+    """First distinctive relation of the best-ranked landmark, or None.
+
+    Presence is read from ``scored``, the scene's ``score_scene`` result, when given.
+    """
     validate_rpn(rpn)
     target = scene.object_by_id(target_id)
     if len(scene.objects) < 2:
         raise ValueError("scene must contain at least 2 objects")
 
-    ids = scene.object_ids()
-    pairs = [(a, b) for a in ids for b in ids if a != b]
-    probabilities = rpn.forward_batch(np.stack([encode_pair(scene, a, b) for a, b in pairs]))
-    present = {
-        (a, b, cat)
-        for row, (a, b) in zip(probabilities, pairs)
-        for cat in CATEGORIES
-        if row[cat.index] > cfg.presence_threshold
-    }
+    probabilities = presence_scores(rpn, scene) if scored is None else scored.probabilities
+    present = probabilities > cfg.presence_threshold
+    index = {oid: k for k, oid in enumerate(scene.object_ids())}
 
-    distractor_ids = distractors(scene, target_id)
+    distractor_rows = [index[d] for d in distractors(scene, target_id)]
     landmark_ids = landmarks(scene, target_id)
     type_of = {o.id: o.type_name for o in scene.objects}
     ranked = sorted((rank(scene, target_id, l) for l in landmark_ids),
@@ -90,16 +86,12 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
 
     for entry in ranked:
         landmark = entry.landmark_id
+        same_type = [index[o] for o in landmark_ids if type_of[o] == type_of[landmark]]
+        repeats = present[distractor_rows][:, same_type]
         for cat in cfg.relation_priority:
-            if (target_id, landmark, cat) not in present:
+            if not present[index[target_id], index[landmark], cat.index]:
                 continue
-            repeated = any(
-                (d, other, cat) in present
-                for d in distractor_ids
-                for other in landmark_ids
-                if type_of[other] == type_of[landmark]
-            )
-            if not repeated:
+            if not repeats[:, :, cat.index].any():
                 reference = scene.object_by_id(landmark)
                 return ReferringExpression(target_id, landmark, cat,
                                            render_phrase(target, reference, cat))

@@ -73,10 +73,6 @@ class MlpModel:
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                        list(self.activations), self.dropout_rate)
-
     def forward(self, features) -> np.ndarray:
         """Inference pass for a single feature vector; dropout is inactive."""
         x = np.asarray(features, dtype=np.float64)

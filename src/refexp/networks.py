@@ -8,6 +8,8 @@ normalized by the image size, so models transfer across image dimensions.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .mlp import LayerSpec, MlpModel
@@ -96,34 +98,94 @@ def rin_confidence(model: MlpModel, scene: Scene, target_id: int, reference_id: 
     return float(model.forward(encode_relation(scene, target_id, reference_id, category))[0])
 
 
-def score_scene(rpn: MlpModel, rin: MlpModel, scene: Scene) -> list[SpatialRelation]:
-    """Every ordered pair crossed with every category, scored by both nets.
+class ScoredScene:
+    """Both nets' outputs for every ordered object pair of one scene.
 
-    Output order is (target_id, reference_id, category index), so the result
-    is independent of the storage order of the scene's objects.
+    ``probabilities[i, j, c]`` and ``confidences[i, j, c]`` score target ``ids[i]``
+    against reference ``ids[j]`` in ``CATEGORIES[c]``; ids are sorted and NaN marks
+    an unscored entry, such as the diagonal. As a sequence it holds the scored
+    relations in (target, reference, category) order, built on first use.
     """
-    validate_rpn(rpn)
-    validate_rin(rin)
+
+    def __init__(self, ids, probabilities: np.ndarray, confidences: np.ndarray) -> None:
+        self.ids = tuple(ids)
+        self.probabilities = probabilities
+        self.confidences = confidences
+
+    @classmethod
+    def from_relations(cls, relations) -> "ScoredScene":
+        """Arrays holding the given relations; a later duplicate replaces an earlier one."""
+        relations = list(relations)
+        ids = sorted({r.target_id for r in relations} | {r.reference_id for r in relations})
+        index = {oid: k for k, oid in enumerate(ids)}
+        scores = np.full((2, len(ids), len(ids), len(CATEGORIES)), np.nan)
+        for r in relations:
+            scores[:, index[r.target_id], index[r.reference_id], r.category.index] = \
+                r.probability, r.confidence
+        return cls(ids, *scores)
+
+    def where(self, mask: np.ndarray) -> tuple[SpatialRelation, ...]:
+        """The relations at the true entries of an (n, n, 6) mask, in index order."""
+        ids = self.ids
+        return tuple(SpatialRelation(ids[a], ids[b], CATEGORIES[k], p, q) for a, b, k, p, q in zip(
+            *(axis.tolist() for axis in np.nonzero(mask)),
+            self.probabilities[mask].tolist(), self.confidences[mask].tolist()))
+
+    @cached_property
+    def relations(self) -> tuple[SpatialRelation, ...]:
+        return self.where(~np.isnan(self.probabilities))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.probabilities)))
+
+    def __iter__(self):
+        return iter(self.relations)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ScoredScene, tuple, list)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
+def _scene_pairs(scene: Scene) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Sorted ids, the (n, n) mask of ordered pairs (a, b), a != b, and their
+    features in mask order; each row is exactly what ``encode_pair`` returns."""
     ids = scene.object_ids()
     if len(ids) < 2:
         raise ValueError("scene must contain at least 2 objects")
-    pairs = [(a, b) for a in ids for b in ids if a != b]
+    w, h = scene.image_width, scene.image_height
+    boxes = np.array([[o.box.x, o.box.y, o.box.w, o.box.h] for o in map(scene.object_by_id, ids)],
+                     dtype=float)
+    boxes = np.clip(boxes / np.array([w, h, w, h]), 0.0, 1.0)
+    pairs = ~np.eye(len(ids), dtype=bool)
+    targets, references = np.nonzero(pairs)
+    return ids, pairs, np.hstack([boxes[targets], boxes[references]])
 
-    pair_features = np.stack([encode_pair(scene, a, b) for a, b in pairs])
-    probabilities = rpn.forward_batch(pair_features)
 
-    n_cat = len(CATEGORIES)
-    rin_features = np.zeros((len(pairs) * n_cat, RIN_FEATURE_DIM))
+def presence_scores(rpn: MlpModel, scene: Scene) -> np.ndarray:
+    """The presence net alone, laid out as ``ScoredScene.probabilities``."""
+    validate_rpn(rpn)
+    ids, pairs, features = _scene_pairs(scene)
+    probabilities = np.full((len(ids), len(ids), len(CATEGORIES)), np.nan)
+    probabilities[pairs] = rpn.forward_batch(features)
+    return probabilities
+
+
+def score_scene(rpn: MlpModel, rin: MlpModel, scene: Scene) -> ScoredScene:
+    """Every ordered pair crossed with every category, scored by both nets.
+
+    One encode over the scene's boxes, then one batch through each net; indexed
+    by sorted id, so independent of the storage order of the scene's objects.
+    """
+    validate_rpn(rpn)
+    validate_rin(rin)
+    ids, pairs, pair_features = _scene_pairs(scene)
+    n_pairs, n_cat = len(pair_features), len(CATEGORIES)
+    rin_features = np.zeros((n_pairs * n_cat, RIN_FEATURE_DIM))
     rin_features[:, :PAIR_FEATURE_DIM] = np.repeat(pair_features, n_cat, axis=0)
-    rin_features[:, PAIR_FEATURE_DIM:] = np.tile(np.eye(n_cat), (len(pairs), 1))
-    confidences = rin.forward_batch(rin_features)[:, 0]
+    rin_features[:, PAIR_FEATURE_DIM:] = np.tile(np.eye(n_cat), (n_pairs, 1))
 
-    relations = []
-    for p, (a, b) in enumerate(pairs):
-        for cat in CATEGORIES:
-            relations.append(SpatialRelation(
-                a, b, cat,
-                probability=float(probabilities[p, cat.index]),
-                confidence=float(confidences[p * n_cat + cat.index]),
-            ))
-    return relations
+    scores = np.full((2, len(ids), len(ids), n_cat), np.nan)
+    scores[0][pairs] = rpn.forward_batch(pair_features)
+    scores[1][pairs] = rin.forward_batch(rin_features).reshape(n_pairs, n_cat)
+    return ScoredScene(ids, *scores)

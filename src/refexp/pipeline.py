@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mlp import MlpModel
-from .networks import score_scene
+from .networks import ScoredScene, score_scene
 from .scene import (PipelineConfig, ReferringExpression, Scene, SpatialRelation,
                     render_phrase)
 
@@ -21,16 +23,12 @@ class EmptyCandidatesError(Exception):
 
 @dataclass(frozen=True)
 class RelationSets:
-    """Intermediate sets of the selection procedure, all deterministic tuples."""
+    """Intermediate sets of the selection procedure, in (target, reference, category) order."""
 
-    above_threshold: tuple[SpatialRelation, ...]
+    above_threshold: ScoredScene
     from_target: tuple[SpatialRelation, ...]
     best_per_category: tuple[SpatialRelation, ...]
     competitors: tuple[SpatialRelation, ...]
-
-
-def _sort_key(rel: SpatialRelation) -> tuple:
-    return (rel.target_id, rel.reference_id, rel.category.index)
 
 
 def _preference(rel: SpatialRelation) -> tuple:
@@ -42,21 +40,22 @@ def _preference(rel: SpatialRelation) -> tuple:
 def build_candidate_sets(relations, target_id: int, cfg: PipelineConfig = PipelineConfig()) -> RelationSets:
     """Threshold the scored relations and reduce them to per-category maxima.
 
-    The probability test is strictly greater-than, so a relation sitting
-    exactly at the threshold is excluded.
+    ``relations`` is a ScoredScene or any iterable of relations. The
+    probability test is strictly greater-than, so a relation sitting exactly
+    at the threshold is excluded.
     """
-    above = tuple(sorted((r for r in relations if r.probability > cfg.presence_threshold),
-                         key=_sort_key))
-    from_target = tuple(r for r in above if r.target_id == target_id)
-    best: dict[tuple, SpatialRelation] = {}
-    for rel in above:
-        key = (rel.target_id, rel.category)
-        held = best.get(key)
-        if held is None or _preference(rel) > _preference(held):
-            best[key] = rel
-    best_per_category = tuple(sorted(best.values(), key=_sort_key))
+    scored = relations if isinstance(relations, ScoredScene) else ScoredScene.from_relations(relations)
+    above = scored.probabilities > cfg.presence_threshold  # NaN compares False
+    # per (target, category) the most confident relation; of tied references, the lowest id
+    confidence = np.where(above, scored.confidences, -np.inf)
+    best = above & (confidence == confidence.max(axis=1, keepdims=True, initial=-np.inf))
+    best &= best.cumsum(axis=1) == 1
+    best_per_category = scored.where(best)
     competitors = tuple(r for r in best_per_category if r.target_id != target_id)
-    return RelationSets(above, from_target, best_per_category, competitors)
+    from_target = scored.where(above & (np.asarray(scored.ids) == target_id)[:, None, None])
+    above_threshold = ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan),
+                                  scored.confidences)
+    return RelationSets(above_threshold, from_target, best_per_category, competitors)
 
 
 def eliminate_ambiguous(sets: RelationSets, scene: Scene) -> tuple[SpatialRelation, ...]:
@@ -79,11 +78,15 @@ def select_relation(candidates) -> SpatialRelation:
 
 
 def describe(rpn: MlpModel, rin: MlpModel, scene: Scene, target_id: int,
-             cfg: PipelineConfig = PipelineConfig()) -> ReferringExpression:
-    """Full pipeline: score the scene, prune ambiguity, render the phrase."""
+             cfg: PipelineConfig = PipelineConfig(), *,
+             scored: ScoredScene | None = None) -> ReferringExpression:
+    """Full pipeline: score the scene, prune ambiguity, render the phrase.
+
+    Pass the scene's ``score_scene`` result as ``scored`` to share one scoring.
+    """
     scene.object_by_id(target_id)
-    relations = score_scene(rpn, rin, scene)
-    sets = build_candidate_sets(relations, target_id, cfg)
+    scored = score_scene(rpn, rin, scene) if scored is None else scored
+    sets = build_candidate_sets(scored, target_id, cfg)
     pruned = eliminate_ambiguous(sets, scene)
     chosen = select_relation(pruned)
     target = scene.object_by_id(chosen.target_id)
@@ -93,16 +96,18 @@ def describe(rpn: MlpModel, rin: MlpModel, scene: Scene, target_id: int,
 
 
 def describe_oracle(rpn: MlpModel, rin: MlpModel, scene: Scene, target_id: int,
-                    cfg: PipelineConfig = PipelineConfig()) -> ReferringExpression:
+                    cfg: PipelineConfig = PipelineConfig(), *,
+                    scored: ScoredScene | None = None) -> ReferringExpression:
     """Brute-force re-derivation of describe, kept deliberately naive.
 
-    Shares only the scene scoring with the main path; the selection logic is
-    re-implemented with plain loops as a cross-check.
+    Shares only the scene scoring (``scored``) with the main path; the selection
+    logic is re-implemented with plain loops as a cross-check.
     """
     scene.object_by_id(target_id)
+    scored = score_scene(rpn, rin, scene) if scored is None else scored
     threshold = cfg.presence_threshold
     held: dict[tuple, SpatialRelation] = {}
-    for rel in score_scene(rpn, rin, scene):
+    for rel in scored:
         if rel.probability > threshold:
             held[(rel.target_id, rel.reference_id, rel.category)] = rel
 

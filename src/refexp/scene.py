@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -169,7 +170,6 @@ class PipelineConfig:
 
     presence_threshold: float = 0.5
     relation_priority: tuple[RelationCategory, ...] = DEFAULT_RELATION_PRIORITY
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.presence_threshold < 1.0):
@@ -191,8 +191,8 @@ _OBJECT_KEYS = ("id", "type", "box")
 
 
 def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneFormatError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SceneFormatError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 

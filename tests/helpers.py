@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from refexp.datagen import SceneGenSpec, generate_scenes, mirrored_duplicate_scenes
 from refexp.scene import BoundingBox, Scene, SceneObject
 
 
@@ -28,3 +29,10 @@ def two_books_and_mouse():
         (1, "mouse", (284, 300, 56, 36)),
         (2, "book", (380, 295, 70, 44)),
     ], width=640, height=480)
+
+
+def mixed_corpus():
+    """Generated scenes of 2-10 objects, often with duplicate types, then
+    mirrored-duplicate rows."""
+    return (generate_scenes(SceneGenSpec(min_objects=2, max_objects=10, seed=31), 40)
+            + mirrored_duplicate_scenes(20, seed=31))

@@ -1,8 +1,11 @@
 """End-to-end command behavior through the argparse entry point."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,17 @@ from refexp.mlp import load_model, save_model
 from refexp.scene import scene_to_json
 
 from helpers import make_scene, two_books_and_mouse
+
+ROOT = Path(__file__).resolve().parents[1]
+SYSTEM_PATH = "/usr/local/bin:/usr/bin:/bin"
+
+
+def refexp_command():
+    """The installed console script, looked up next to this interpreter and on
+    the system PATH; without one, the same entry point as ``python -m refexp``."""
+    script = shutil.which("refexp", path=os.pathsep.join([os.path.dirname(sys.executable),
+                                                          SYSTEM_PATH]))
+    return [script] if script else [sys.executable, "-m", "refexp"]
 
 
 @pytest.fixture
@@ -174,10 +188,12 @@ class TestUsage:
         assert code == 2
 
     def test_installed_script_smoke(self, tmp_path):
+        # python -m refexp stands in for the script because both run this entry point
+        assert 'refexp = "refexp.cli:entry_point"' in (ROOT / "pyproject.toml").read_text()
         out = tmp_path / "scenes.jsonl"
         proc = subprocess.run(
-            ["refexp", "gen-scenes", "--out", str(out), "--count", "2"],
-            capture_output=True, text=True, env={"PATH": "/usr/local/bin:/usr/bin:/bin",
-                                                 "REFEXP_LOG": "DEBUG"})
+            refexp_command() + ["gen-scenes", "--out", str(out), "--count", "2"],
+            capture_output=True, text=True, env={"PATH": SYSTEM_PATH, "REFEXP_LOG": "DEBUG",
+                                                 "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr
         assert len(read_scenes(str(out))) == 2

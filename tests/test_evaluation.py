@@ -1,12 +1,14 @@
 import pytest
 
+import refexp.pipeline as pipeline
 from refexp.datagen import mirrored_duplicate_scenes
 from refexp.evaluation import (AMBIGUOUS, UNAMBIGUOUS, CaseRecord, EvalReport,
                                MethodCounts, OracleTypeError, ambiguity_oracle,
-                               compare_corpus, parse_phrase)
+                               compare_corpus, parse_phrase, pipeline_oracle_check)
+from refexp.mlp import MlpModel
 from refexp.scene import ReferringExpression, RelationCategory, render_phrase
 
-from helpers import make_scene, two_books_and_mouse
+from helpers import make_scene, mixed_corpus, two_books_and_mouse
 
 R = RelationCategory
 
@@ -124,3 +126,26 @@ class TestCompareCorpus:
         silent = [r for r in report.records if r.krreg_phrase is None]
         assert silent
         assert all(not r.agree for r in silent if r.ours_phrase is not None)
+
+
+@pytest.mark.parametrize("run", [compare_corpus, pipeline_oracle_check])
+def test_each_scene_scored_once(monkeypatch, rpn_model, rin_model, run):
+    """One score_scene call and one batch per net for each scene, shared by
+    every target, the baseline and the twin."""
+    scored, batches = [], []
+    score_scene, forward_batch = pipeline.score_scene, MlpModel.forward_batch
+
+    def counting_score(rpn, rin, scene):
+        scored.append(scene)
+        return score_scene(rpn, rin, scene)
+
+    def counting_forward(model, features):
+        batches.append(model)
+        return forward_batch(model, features)
+
+    monkeypatch.setattr(pipeline, "score_scene", counting_score)
+    monkeypatch.setattr(MlpModel, "forward_batch", counting_forward)
+    scenes = mixed_corpus()[::4]
+    run(rpn_model, rin_model, scenes)
+    assert [id(s) for s in scored] == [id(s) for s in scenes]
+    assert [id(m) for m in batches] == [id(rpn_model), id(rin_model)] * len(scenes)

@@ -2,10 +2,11 @@ import pytest
 
 from refexp.datagen import mirrored_duplicate_scenes
 from refexp.krreg import distractors, krreg_describe, landmarks, rank
+from refexp.networks import score_scene
 from refexp.pipeline import describe
 from refexp.scene import PipelineConfig, RelationCategory
 
-from helpers import make_scene
+from helpers import make_scene, mixed_corpus
 
 R = RelationCategory
 
@@ -143,6 +144,15 @@ class TestDescribe:
         got = krreg_describe(rpn_model, scene, 0)
         assert got is not None
         assert got.reference_id == 1
+
+    def test_shared_scoring_gives_same_answer(self, rpn_model, rin_model):
+        for scene in mixed_corpus():
+            scored = score_scene(rpn_model, rin_model, scene)
+            for threshold in (0.2, 0.5):
+                cfg = PipelineConfig(presence_threshold=threshold)
+                for target in scene.object_ids():
+                    assert krreg_describe(rpn_model, scene, target, cfg, scored=scored) == \
+                        krreg_describe(rpn_model, scene, target, cfg)
 
     def test_single_object_scene_rejected(self, rpn_model):
         with pytest.raises(ValueError):

@@ -138,6 +138,37 @@ class TestScoreScene:
         backward = score_scene(rpn, rin, make_scene(list(reversed(entries))))
         assert forward == backward
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arrays_equal_per_pair_rows(self, models, seed):
+        """One vectorized encode gives the rows encode_pair gives, bit for bit."""
+        rpn, rin = models
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        ids = [int(i) for i in rng.choice(1000, size=n, replace=False)]  # shuffled, sparse
+        # some boxes spill over the 100 x 80 image, so clamping is exercised
+        entries = [(oid, f"type{k % 3}", (*rng.uniform(0, 90, 2), *rng.uniform(1, 40, 2)))
+                   for k, oid in enumerate(ids)]
+        scene = make_scene(entries, width=100.0, height=80.0)
+
+        order = sorted(ids)
+        pairs = [(a, b) for a in order for b in order if a != b]
+        probabilities = rpn.forward_batch(np.stack([encode_pair(scene, a, b) for a, b in pairs]))
+        confidences = rin.forward_batch(np.stack([encode_relation(scene, a, b, cat)
+                                                  for a, b in pairs for cat in RelationCategory]))
+        expected_p = np.full((n, n, 6), np.nan)
+        expected_c = np.full((n, n, 6), np.nan)
+        for row, (a, b) in enumerate(pairs):
+            i, j = order.index(a), order.index(b)
+            expected_p[i, j] = probabilities[row]
+            expected_c[i, j] = confidences[6 * row:6 * row + 6, 0]
+
+        scored = score_scene(rpn, rin, scene)
+        assert scored.ids == tuple(order)
+        np.testing.assert_array_equal(scored.probabilities, expected_p)
+        np.testing.assert_array_equal(scored.confidences, expected_c)
+        first = next(iter(scored))
+        assert (first.probability, first.confidence) == (expected_p[0, 1, 0], expected_c[0, 1, 0])
+
 
 class TestTrainedBehavior:
     """Qualitative behaviors the session-trained scorers must show."""

@@ -1,18 +1,47 @@
 """Selection pipeline: thresholding, per-category maxima, pruning, final pick."""
 
+import numpy as np
 import pytest
 
-from refexp.pipeline import (EmptyCandidatesError, build_candidate_sets, describe,
-                             describe_oracle, eliminate_ambiguous, select_relation)
+from refexp.networks import score_scene
+from refexp.pipeline import (EmptyCandidatesError, RelationSets, build_candidate_sets,
+                             describe, describe_oracle, eliminate_ambiguous, select_relation)
 from refexp.scene import PipelineConfig, RelationCategory, SpatialRelation
 
-from helpers import make_scene, two_books_and_mouse
+from helpers import make_scene, mixed_corpus, two_books_and_mouse
 
 R = RelationCategory
 
 
 def rel(t, r, cat, p, c):
     return SpatialRelation(t, r, cat, p, c)
+
+
+def loop_candidate_sets(relations, target_id, cfg=PipelineConfig()):
+    """The per-relation loops that the array stages replaced, kept as the reference."""
+    def key(r):
+        return (r.target_id, r.reference_id, r.category.index)
+
+    def preference(r):
+        return (r.confidence, -r.reference_id, -r.category.index)
+
+    above = tuple(sorted((r for r in relations if r.probability > cfg.presence_threshold), key=key))
+    best = {}
+    for r in above:
+        held = best.get((r.target_id, r.category))
+        if held is None or preference(r) > preference(held):
+            best[(r.target_id, r.category)] = r
+    best_per_category = tuple(sorted(best.values(), key=key))
+    return RelationSets(above, tuple(r for r in above if r.target_id == target_id),
+                        best_per_category,
+                        tuple(r for r in best_per_category if r.target_id != target_id))
+
+
+def outcome(call):
+    try:
+        return call()
+    except EmptyCandidatesError:
+        return None
 
 
 class TestBuildCandidateSets:
@@ -46,6 +75,26 @@ class TestBuildCandidateSets:
         sets = build_candidate_sets(rels, 0)
         assert len(sets.best_per_category) == 3
         assert sets.competitors == (rels[2],)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_reference_on_ties(self, seed):
+        # few confidence levels, so per-category maxima tie often
+        rng = np.random.default_rng(seed)
+        ids = [int(i) for i in rng.choice(50, size=6, replace=False)]
+        rels = [rel(a, b, cat, float(rng.uniform(0.3, 1.0)), float(rng.choice([0.25, 0.5, 0.75])))
+                for a in ids for b in ids if a != b for cat in R if rng.random() < 0.6]
+        rng.shuffle(rels)
+        for target in ids + [999]:
+            assert build_candidate_sets(rels, target) == loop_candidate_sets(rels, target)
+
+    def test_matches_loop_reference_on_scored_scenes(self, rpn_model, rin_model):
+        for scene in mixed_corpus():
+            scored = score_scene(rpn_model, rin_model, scene)
+            for threshold in (0.3, 0.5):
+                cfg = PipelineConfig(presence_threshold=threshold)
+                for target in scene.object_ids():
+                    assert build_candidate_sets(scored, target, cfg) == \
+                        loop_candidate_sets(list(scored), target, cfg)
 
     def test_raising_threshold_never_adds(self):
         rng_rels = [rel(i % 3, (i + 1) % 3, list(R)[i % 6], (i % 10) / 10 + 0.05, 0.5)
@@ -149,6 +198,25 @@ class TestDescribe:
                             make_scene([entries[1], entries[2], entries[0]],
                                        width=640, height=480), 2)
         assert direct == shuffled
+
+    def test_shared_scoring_gives_fresh_phrase(self, rpn_model, rin_model):
+        """Every target described from one scoring of its scene gets the phrase a
+        fresh call gives, and the one the loop stages give."""
+        for scene in mixed_corpus():
+            scored = score_scene(rpn_model, rin_model, scene)
+            relations = list(scored)
+            for target in scene.object_ids():
+                shared = outcome(lambda: describe(rpn_model, rin_model, scene, target,
+                                                  scored=scored))
+                fresh = outcome(lambda: describe(rpn_model, rin_model, scene, target))
+                loops = outcome(lambda: select_relation(eliminate_ambiguous(
+                    loop_candidate_sets(relations, target), scene)))
+                assert shared == fresh
+                if loops is None:
+                    assert shared is None
+                else:
+                    assert (shared.reference_id, shared.category) == \
+                        (loops.reference_id, loops.category)
 
     def test_selected_relation_is_sound(self, rpn_model, rin_model):
         """The winning signature must not appear among the pruned competitors."""

@@ -159,6 +159,19 @@ class TestSceneJson:
         with pytest.raises(SceneFormatError):
             scene_from_json(doc)
 
+    @pytest.mark.parametrize("field", ["image_width", "image_height", "box"])
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_number_rejected(self, field, literal):
+        # json.loads accepts these literals; the schema must not
+        doc = json.loads(json.dumps(self.DOC))
+        if field == "box":
+            doc["objects"][1]["box"][2] = "@"
+        else:
+            doc[field] = "@"
+        doc = json.loads(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(SceneFormatError, match="finite"):
+            scene_from_json(doc)
+
     def test_round_trip(self):
         scene = scene_from_json(self.DOC)
         again = scene_from_json(scene_to_json(scene))
