@@ -8,14 +8,17 @@ every emitted feature vector re-derives bit-exactly from its source boxes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .networks import encode_pair, encode_relation
-from .rules import rule_holds, rule_margins
+# rule_holds and rule_margins are not called here; perfbench/tracing.py patches them on this module
+from .rules import rule_holds, rule_margins, rule_table  # noqa: F401
 from .scene import (CATEGORIES, BoundingBox, RelationCategory, Scene, SceneFormatError,
                     SceneObject, clamp_box, scene_from_json, scene_to_json)
 
@@ -73,14 +76,15 @@ def _random_scene(spec: SceneGenSpec, rng: np.random.Generator) -> Scene:
         # the ambiguity driver: force at least one repeated type
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
         names[j] = names[i]
-    objects = []
-    for oid in range(n):
-        w = rng.uniform(0.05, 0.35) * spec.image_width
-        h = rng.uniform(0.05, 0.35) * spec.image_height
-        x = rng.uniform(0.0, spec.image_width - w)
-        y = rng.uniform(0.0, spec.image_height - h)
-        objects.append(SceneObject(oid, names[oid], BoundingBox(x, y, w, h)))
-    return Scene(spec.image_width, spec.image_height, tuple(objects))
+    # one draw per (object, side): uniform(a, b) is a + (b - a) * random()
+    u = rng.random((n, 4))
+    w = (0.05 + (0.35 - 0.05) * u[:, 0]) * spec.image_width
+    h = (0.05 + (0.35 - 0.05) * u[:, 1]) * spec.image_height
+    x = (spec.image_width - w) * u[:, 2]
+    y = (spec.image_height - h) * u[:, 3]
+    return Scene(spec.image_width, spec.image_height, tuple(
+        SceneObject(oid, names[oid], BoundingBox(*box))
+        for oid, box in enumerate(zip(x.tolist(), y.tolist(), w.tolist(), h.tolist()))))
 
 
 def generate_scenes(spec: SceneGenSpec, count: int) -> list[Scene]:
@@ -97,26 +101,13 @@ def _share(total: int, buckets: int) -> list[int]:
 
 
 _SCENE_BUDGET = 200_000
+_BLOCK_STEPS = 128  # scenes drawn per rule-table call in rpn synthesis
 
 # emission filters: only clear cases enter the datasets, so the mapping from
 # features to label is single-valued and the learnability bars are honest
 RPN_MARGIN_GAP = 0.08
 RIN_NEAR_DISTANCE = 0.30
 RIN_FAR_DISTANCE = 0.40
-
-
-def _clear_dominant(scene: Scene, target: SceneObject,
-                    reference: SceneObject) -> RelationCategory | None:
-    """Dominant firing rule, but only when it beats the runner-up cleanly."""
-    margins = rule_margins(target.box, reference.box,
-                           scene.image_width, scene.image_height)
-    if not margins:
-        return None
-    ordered = sorted(margins.items(), key=lambda kv: (-kv[1], kv[0].index))
-    runner_up = ordered[1][1] if len(ordered) > 1 else 0.0
-    if ordered[0][1] - runner_up < RPN_MARGIN_GAP:
-        return None
-    return ordered[0][0]
 
 
 def _archetype_pair_scene(spec: SceneGenSpec, rng: np.random.Generator,
@@ -158,36 +149,53 @@ def _archetype_pair_scene(spec: SceneGenSpec, rng: np.random.Generator,
                         SceneObject(1, "object", boxes[1])))
 
 
+def _box_rows(scene: Scene) -> list[tuple[float, float, float, float]]:
+    return [(o.box.x, o.box.y, o.box.w, o.box.h) for o in scene.objects]
+
+
 def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
     """Rule-labeled pair samples, balanced across the six categories.
 
     Each ordered pair with a clearly dominant firing rule contributes that
     category until its share of n is filled; near-tie pairs are not emitted.
+    Scenes are scored a block at a time, and pairs are taken in (scene,
+    target, reference) order, so the block size does not change the result.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    quotas = dict(zip(CATEGORIES, _share(n, len(CATEGORIES))))
-    pools: dict[RelationCategory, list[RpnSample]] = {cat: [] for cat in CATEGORIES}
+    quotas = _share(n, len(CATEGORIES))
+    pools: list[list[RpnSample]] = [[] for _ in CATEGORIES]
     rng = np.random.default_rng(spec.seed)
-    for step in range(_SCENE_BUDGET):
-        if all(len(pools[cat]) >= quotas[cat] for cat in CATEGORIES):
-            break
+    W, H = spec.image_width, spec.image_height
+    for start in range(0, _SCENE_BUDGET, _BLOCK_STEPS):
         # alternate cluttered scenes with targeted two-box scenes
-        if step % 2 == 0:
-            scene = _random_scene(spec, rng)
-        else:
-            scene = _archetype_pair_scene(spec, rng, (step // 2) % 3)
-        for target in scene.objects:
-            for reference in scene.objects:
-                if target.id == reference.id:
-                    continue
-                cat = _clear_dominant(scene, target, reference)
-                if cat is None or len(pools[cat]) >= quotas[cat]:
-                    continue
-                pools[cat].append(RpnSample(encode_pair(scene, target.id, reference.id), cat))
-    if not all(len(pools[cat]) >= quotas[cat] for cat in CATEGORIES):
-        raise RuntimeError("scene budget exhausted before the dataset was balanced")
-    return [sample for cat in CATEGORIES for sample in pools[cat]]
+        scenes = [_random_scene(spec, rng) if step % 2 == 0
+                  else _archetype_pair_scene(spec, rng, (step // 2) % 3)
+                  for step in range(start, min(start + _BLOCK_STEPS, _SCENE_BUDGET))]
+        boxes, pairs = [], []
+        for scene in scenes:
+            offset = len(boxes)
+            boxes.extend(_box_rows(scene))
+            pairs.extend(itertools.permutations(range(offset, len(boxes)), 2))
+        boxes = np.array(boxes)
+        targets, references = np.array(pairs).T
+        # the dominant rule is the largest margin, ties to the lowest category;
+        # it is clear when it beats the runner-up (0.0 if none) by the gap
+        margins = rule_table(boxes[targets], boxes[references], W, H)
+        ranked = np.where(np.isnan(margins), -np.inf, margins)
+        rows = np.arange(len(ranked))
+        dominant = ranked.argmax(axis=1)
+        top = ranked[rows, dominant]
+        ranked[rows, dominant] = -np.inf
+        clear = ~(top - np.maximum(ranked.max(axis=1), 0.0) < RPN_MARGIN_GAP)
+        for c, cat in enumerate(CATEGORIES):
+            picked = np.flatnonzero(clear & (dominant == c))[:quotas[c] - len(pools[c])]
+            features = np.hstack([boxes[targets[picked]], boxes[references[picked]]])
+            pools[c].extend(RpnSample(row, cat) for row in
+                            np.clip(features / (W, H, W, H, W, H, W, H), 0.0, 1.0))
+        if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
+            return [sample for pool in pools for sample in pool]
+    raise RuntimeError("scene budget exhausted before the dataset was balanced")
 
 
 def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
@@ -201,45 +209,32 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    per_category = _share(n, len(CATEGORIES))
-    quotas: dict[tuple[RelationCategory, bool], int] = {}
-    for cat, share in zip(CATEGORIES, per_category):
-        quotas[(cat, True)] = share - share // 2
-        quotas[(cat, False)] = share // 2
-    pools: dict[tuple[RelationCategory, bool], list[RinSample]] = {key: [] for key in quotas}
+    # one pool per (category, label), informative first
+    quotas = [q for share in _share(n, len(CATEGORIES)) for q in (share - share // 2, share // 2)]
+    pools: list[list[RinSample]] = [[] for _ in quotas]
     rng = np.random.default_rng(spec.seed)
+    W, H = spec.image_width, spec.image_height
     for _ in range(_SCENE_BUDGET):
-        if all(len(pools[key]) >= quotas[key] for key in quotas):
-            break
-        scene = _random_scene(spec, rng)
-        for target in scene.objects:
-            tx, ty = target.box.center()
-
-            def distance(obj: SceneObject) -> float:
-                ox, oy = obj.box.center()
-                return float(np.hypot((tx - ox) / scene.image_width,
-                                      (ty - oy) / scene.image_height))
-
-            for cat in CATEGORIES:
-                satisfiers = [o for o in scene.objects if o.id != target.id
-                              and rule_holds(target.box, o.box, cat)]
-                if not satisfiers:
-                    continue
-                nearest = min(satisfiers, key=lambda o: (distance(o), o.id))
-                for obj in satisfiers:
-                    label = obj.id == nearest.id
-                    if label and distance(obj) > RIN_NEAR_DISTANCE:
-                        continue
-                    if not label and distance(obj) < RIN_FAR_DISTANCE:
-                        continue
-                    if len(pools[(cat, label)]) >= quotas[(cat, label)]:
-                        continue
-                    pools[(cat, label)].append(
-                        RinSample(encode_relation(scene, target.id, obj.id, cat), label))
-    if not all(len(pools[key]) >= quotas[key] for key in quotas):
-        raise RuntimeError("scene budget exhausted before the dataset was balanced")
-    return [sample for cat in CATEGORIES for label in (True, False)
-            for sample in pools[(cat, label)]]
+        scene = _random_scene(spec, rng)  # object ids are 0..n-1, in order
+        boxes = np.array(_box_rows(scene))
+        holds = ~np.isnan(rule_table(boxes[:, None], boxes[None, :], W, H))
+        cx, cy = (boxes[:, :2] + boxes[:, 2:] / 2.0).T
+        distance = np.hypot((cx[:, None] - cx) / W, (cy[:, None] - cy) / H)
+        # nearest satisfier per (target, category), ties to the lowest id
+        nearest = np.where(holds, distance[:, :, None], np.inf).argmin(axis=1)
+        label = nearest[:, None, :] == np.arange(len(boxes))[:, None]
+        clear = np.where(label, ~(distance > RIN_NEAR_DISTANCE)[:, :, None],
+                         ~(distance < RIN_FAR_DISTANCE)[:, :, None])
+        emitted = np.nonzero((holds & clear).transpose(0, 2, 1))
+        for target, c, reference in zip(*(axis.tolist() for axis in emitted)):
+            informative = bool(label[target, reference, c])
+            slot = 2 * c + (not informative)
+            if len(pools[slot]) < quotas[slot]:
+                pools[slot].append(RinSample(
+                    encode_relation(scene, target, reference, CATEGORIES[c]), informative))
+        if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
+            return [sample for pool in pools for sample in pool]
+    raise RuntimeError("scene budget exhausted before the dataset was balanced")
 
 
 def mirrored_duplicate_scenes(count: int, seed: int = 0, image_width: float = 640.0,
@@ -336,13 +331,19 @@ def _require(condition: bool, where: str, problem: str) -> None:
         raise DatasetFormatError(f"{where}: {problem}")
 
 
+def _is_finite_number(v: object) -> bool:
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _endpoint_box(entry: object, where: str) -> tuple[float, float, float, float]:
     _require(isinstance(entry, dict), where, "must be a JSON object")
     values = []
     for key in ("x", "y", "w", "h"):
         v = entry.get(key)
-        _require(not isinstance(v, bool) and isinstance(v, (int, float)),
-                 f"{where}.{key}", f"must be a number, got {v!r}")
+        _require(_is_finite_number(v), f"{where}.{key}", f"must be a finite number, got {v!r}")
         values.append(float(v))
     return tuple(values)
 
@@ -363,8 +364,8 @@ def read_vg_annotations(path: str) -> list[dict]:
             _require(key in image, f"{where}.{key}", "missing")
         width, height = image["width"], image["height"]
         for name, v in (("width", width), ("height", height)):
-            _require(not isinstance(v, bool) and isinstance(v, (int, float)) and v > 0,
-                     f"{where}.{name}", f"must be a positive number, got {v!r}")
+            _require(_is_finite_number(v) and v > 0,
+                     f"{where}.{name}", f"must be a positive finite number, got {v!r}")
         _require(isinstance(image["relationships"], list), f"{where}.relationships",
                  "must be a list")
         relationships = []
@@ -484,16 +485,12 @@ def extract_rin_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
         for subject, reference, cat in sorted(annotated, key=lambda t: (t[0], t[1], t[2].index)):
             informative[cat].append(
                 RinSample(encode_relation(scene, subject, reference, cat), True))
-        for subject in range(len(boxes)):
-            for reference in range(len(boxes)):
-                if subject == reference:
-                    continue
-                for cat in CATEGORIES:
-                    if (subject, reference, cat) in annotated:
-                        continue
-                    if rule_holds(boxes[subject], boxes[reference], cat):
-                        uninformative[cat].append(
-                            RinSample(encode_relation(scene, subject, reference, cat), False))
+        pixels = np.array(_box_rows(scene))
+        holds = np.nonzero(~np.isnan(rule_table(pixels[:, None], pixels[None, :], width, height)))
+        for subject, reference, c in zip(*(axis.tolist() for axis in holds)):
+            if (subject, reference, CATEGORIES[c]) not in annotated:
+                uninformative[CATEGORIES[c]].append(
+                    RinSample(encode_relation(scene, subject, reference, CATEGORIES[c]), False))
     rng = np.random.default_rng(seed)
     samples = []
     for cat in CATEGORIES:
@@ -541,8 +538,7 @@ def _read_features(doc: object, lineno: int, dim: int) -> np.ndarray:
     _require(isinstance(features, list) and len(features) == dim,
              f"line {lineno}.features", f"must be a list of {dim} numbers")
     for v in features:
-        _require(not isinstance(v, bool) and isinstance(v, (int, float)),
-                 f"line {lineno}.features", f"must be numbers, got {v!r}")
+        _require(_is_finite_number(v), f"line {lineno}.features", f"must be finite numbers, got {v!r}")
     return np.asarray(features, dtype=np.float64)
 
 

@@ -7,6 +7,8 @@ definition is deliberate and kept as-is.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .scene import CATEGORIES, BoundingBox, RelationCategory
 
 
@@ -58,6 +60,25 @@ def rule_margins(target: BoundingBox, reference: BoundingBox, image_width: float
     """Normalized slack of every firing rule, keyed by category."""
     return {cat: _margin(target, reference, cat, image_width, image_height)
             for cat in CATEGORIES if rule_holds(target, reference, cat)}
+
+
+def rule_table(targets, references, image_width: float, image_height: float) -> np.ndarray:
+    """Every rule's normalized margin for broadcast (..., 4) pixel (x, y, w, h) boxes.
+
+    Returns (..., 6) in canonical category order, NaN where the rule does not
+    hold; each entry equals ``rule_margins`` bit for bit.
+    """
+    t, r = np.asarray(targets, dtype=float), np.asarray(references, dtype=float)
+    xt, yt, wt, ht = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
+    xr, yr, wr, hr = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
+    # negating a difference is exact, so -dx0 equals xr - xt bit for bit
+    dx0, dx1 = xt - xr, (xt + wt) - (xr + wr)
+    dy0, dy1 = yt - yr, (yt + ht) - (yr + hr)
+    slack = np.stack([np.minimum(dx0, dx1), np.minimum(-dx0, -dx1), np.minimum(dx0, -dx1),
+                      np.minimum(-dx0, dx1), np.minimum(dy0, dy1), np.minimum(-dy0, -dy1)], axis=-1)
+    # both strict inequalities hold exactly when their smaller slack is positive
+    scale = np.array([image_width] * 4 + [image_height] * 2, dtype=float)
+    return np.where(slack > 0, slack / scale, np.nan)
 
 
 def dominant_category(target: BoundingBox, reference: BoundingBox,

@@ -80,6 +80,20 @@ class TestTrain:
         model = load_model(str(weights))
         assert model.layer_dims == (8, 32, 16, 6)
 
+    def test_non_finite_feature_rejected_before_training(self, tmp_path, capsys):
+        data = tmp_path / "rpn.jsonl"
+        main(["gen-data", "rpn", "--out", str(data), "-n", "24"])
+        lines = data.read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["features"][2] = float("nan")
+        lines[3] = json.dumps(doc)
+        data.write_text("\n".join(lines) + "\n")
+        weights = tmp_path / "m.json"
+        code = main(["train", "rpn", str(data), "--out", str(weights), "--epochs", "2"])
+        assert code == 2
+        assert "line 4.features" in capsys.readouterr().err
+        assert not weights.exists()
+
     def test_tiny_dataset_rejected(self, tmp_path, capsys):
         data = tmp_path / "rpn.jsonl"
         main(["gen-data", "rpn", "--out", str(data), "-n", "6"])

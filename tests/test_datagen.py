@@ -163,6 +163,17 @@ class TestJsonlRoundTrips:
         with pytest.raises(DatasetFormatError):
             read_rpn_samples(str(path))
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        path = tmp_path / "rpn.jsonl"
+        line = json.dumps({"features": [0.1] * 8, "label": 0}).replace("0.1", bad, 1)
+        path.write_text(line + "\n")
+        with pytest.raises(DatasetFormatError, match="line 1.features"):
+            read_rpn_samples(str(path))
+        path.write_text(json.dumps({"features": [0.1] * 14, "label": True}).replace("0.1", bad, 1))
+        with pytest.raises(DatasetFormatError, match="line 1.features"):
+            read_rin_samples(str(path))
+
 
 class TestPredicates:
     def test_normalization(self):
@@ -216,6 +227,29 @@ class TestAnnotations:
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetFormatError, match=r"images\[0\].relationships\[1\].subject"):
             read_vg_annotations(str(path))
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+    def test_non_finite_image_size_rejected(self, tmp_path, field, bad):
+        doc = annotation_doc()
+        doc[0][field] = "BAD"
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(doc).replace('"BAD"', bad))
+        with pytest.raises(DatasetFormatError, match=rf"images\[0\].{field}"):
+            read_vg_annotations(str(path))
+
+    @pytest.mark.parametrize("key", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_box_number_rejected(self, tmp_path, key, bad):
+        doc = annotation_doc()
+        doc[0]["relationships"][0]["object"][key] = "BAD"
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(doc).replace('"BAD"', bad))
+        where = rf"images\[0\].relationships\[0\].object.{key}"
+        with pytest.raises(DatasetFormatError, match=where):
+            read_vg_annotations(str(path))
+        with pytest.raises(DatasetFormatError, match=where):
+            extract_rpn_dataset(str(path))
 
     def test_extra_fields_tolerated(self, tmp_path):
         doc = annotation_doc()

@@ -1,0 +1,295 @@
+"""The array synthesis and extraction paths against the scalar loops they replaced.
+
+The reference functions below are the per-pair, per-rule loops the datasets
+were first built with; the array paths must reproduce their scenes, samples
+and sample order exactly, so datasets written for a seed never change.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from refexp import datagen
+from refexp.datagen import (DEFAULT_PREDICATE_SYNONYMS, RIN_FAR_DISTANCE, RIN_NEAR_DISTANCE,
+                            RPN_MARGIN_GAP, RinSample, RpnSample, SceneGenSpec,
+                            extract_rin_dataset, generate_scenes, normalize_predicate,
+                            read_vg_annotations, synth_rin_dataset, synth_rpn_dataset)
+from refexp.networks import encode_pair, encode_relation
+from refexp.rules import rule_holds, rule_margins
+from refexp.scene import CATEGORIES, BoundingBox, Scene, SceneObject
+
+
+# --- scalar references -----------------------------------------------------------
+
+def reference_random_scene(spec, rng):
+    n = int(rng.integers(spec.min_objects, spec.max_objects + 1))
+    names = [str(t) for t in rng.choice(np.asarray(spec.object_type_pool), size=n, replace=False)]
+    if rng.random() < spec.duplicate_type_probability:
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        names[j] = names[i]
+    objects = []
+    for oid in range(n):
+        w = rng.uniform(0.05, 0.35) * spec.image_width
+        h = rng.uniform(0.05, 0.35) * spec.image_height
+        x = rng.uniform(0.0, spec.image_width - w)
+        y = rng.uniform(0.0, spec.image_height - h)
+        objects.append(SceneObject(oid, names[oid], BoundingBox(x, y, w, h)))
+    return Scene(spec.image_width, spec.image_height, tuple(objects))
+
+
+def reference_clear_dominant(scene, target, reference):
+    margins = rule_margins(target.box, reference.box, scene.image_width, scene.image_height)
+    if not margins:
+        return None
+    ordered = sorted(margins.items(), key=lambda kv: (-kv[1], kv[0].index))
+    runner_up = ordered[1][1] if len(ordered) > 1 else 0.0
+    if ordered[0][1] - runner_up < RPN_MARGIN_GAP:
+        return None
+    return ordered[0][0]
+
+
+def reference_synth_rpn(spec, n, budget=200_000):
+    """Samples, or None when the budget runs out, and the number of scenes drawn."""
+    quotas = dict(zip(CATEGORIES, datagen._share(n, len(CATEGORIES))))
+    pools = {cat: [] for cat in CATEGORIES}
+    rng = np.random.default_rng(spec.seed)
+    drawn = 0
+    for step in range(budget):
+        if all(len(pools[cat]) >= quotas[cat] for cat in CATEGORIES):
+            break
+        if step % 2 == 0:
+            scene = reference_random_scene(spec, rng)
+        else:
+            scene = datagen._archetype_pair_scene(spec, rng, (step // 2) % 3)
+        drawn += 1
+        for target in scene.objects:
+            for reference in scene.objects:
+                if target.id == reference.id:
+                    continue
+                cat = reference_clear_dominant(scene, target, reference)
+                if cat is None or len(pools[cat]) >= quotas[cat]:
+                    continue
+                pools[cat].append(RpnSample(encode_pair(scene, target.id, reference.id), cat))
+    if not all(len(pools[cat]) >= quotas[cat] for cat in CATEGORIES):
+        return None, drawn
+    return [sample for cat in CATEGORIES for sample in pools[cat]], drawn
+
+
+def reference_synth_rin(spec, n, budget=200_000):
+    """Samples, or None when the budget runs out, and the number of scenes drawn."""
+    quotas = {}
+    for cat, share in zip(CATEGORIES, datagen._share(n, len(CATEGORIES))):
+        quotas[(cat, True)] = share - share // 2
+        quotas[(cat, False)] = share // 2
+    pools = {key: [] for key in quotas}
+    rng = np.random.default_rng(spec.seed)
+    drawn = 0
+    for _ in range(budget):
+        if all(len(pools[key]) >= quotas[key] for key in quotas):
+            break
+        scene = reference_random_scene(spec, rng)
+        drawn += 1
+        for target in scene.objects:
+            tx, ty = target.box.center()
+
+            def distance(obj):
+                ox, oy = obj.box.center()
+                return float(np.hypot((tx - ox) / scene.image_width,
+                                      (ty - oy) / scene.image_height))
+
+            for cat in CATEGORIES:
+                satisfiers = [o for o in scene.objects if o.id != target.id
+                              and rule_holds(target.box, o.box, cat)]
+                if not satisfiers:
+                    continue
+                nearest = min(satisfiers, key=lambda o: (distance(o), o.id))
+                for obj in satisfiers:
+                    label = obj.id == nearest.id
+                    if label and distance(obj) > RIN_NEAR_DISTANCE:
+                        continue
+                    if not label and distance(obj) < RIN_FAR_DISTANCE:
+                        continue
+                    if len(pools[(cat, label)]) >= quotas[(cat, label)]:
+                        continue
+                    pools[(cat, label)].append(
+                        RinSample(encode_relation(scene, target.id, obj.id, cat), label))
+    if not all(len(pools[key]) >= quotas[key] for key in quotas):
+        return None, drawn
+    return [sample for cat in CATEGORIES for label in (True, False)
+            for sample in pools[(cat, label)]], drawn
+
+
+def reference_extract_rin(path, per_class_cap=2057, seed=0):
+    informative = {cat: [] for cat in CATEGORIES}
+    uninformative = {cat: [] for cat in CATEGORIES}
+    for image in read_vg_annotations(path):
+        width, height = image["width"], image["height"]
+        boxes, index = [], {}
+
+        def box_id(raw):
+            box = datagen._clamped(raw, width, height)
+            if box is None:
+                return None
+            key = (box.x, box.y, box.w, box.h)
+            if key not in index:
+                index[key] = len(boxes)
+                boxes.append(box)
+            return index[key]
+
+        annotated = set()
+        for rel in image["relationships"]:
+            cat = DEFAULT_PREDICATE_SYNONYMS.get(normalize_predicate(rel["predicate"]))
+            subject, reference = box_id(rel["subject"]), box_id(rel["object"])
+            if cat is None or subject is None or reference is None or subject == reference:
+                continue
+            annotated.add((subject, reference, cat))
+        if not boxes:
+            continue
+        scene = Scene(width, height,
+                      tuple(SceneObject(i, "object", box) for i, box in enumerate(boxes)))
+        for subject, reference, cat in sorted(annotated, key=lambda t: (t[0], t[1], t[2].index)):
+            informative[cat].append(RinSample(encode_relation(scene, subject, reference, cat), True))
+        for subject in range(len(boxes)):
+            for reference in range(len(boxes)):
+                if subject == reference:
+                    continue
+                for cat in CATEGORIES:
+                    if (subject, reference, cat) in annotated:
+                        continue
+                    if rule_holds(boxes[subject], boxes[reference], cat):
+                        uninformative[cat].append(
+                            RinSample(encode_relation(scene, subject, reference, cat), False))
+    rng = np.random.default_rng(seed)
+    samples = []
+    for pools in (informative, uninformative):
+        for cat in CATEGORIES:
+            samples.extend(datagen._capped(rng, pools[cat], per_class_cap))
+    return samples
+
+
+def assert_same_samples(actual, expected):
+    assert len(actual) == len(expected)
+    assert [s.label for s in actual] == [s.label for s in expected]
+    np.testing.assert_array_equal(np.array([s.features for s in actual]),
+                                  np.array([s.features for s in expected]))
+
+
+def count_scene_draws(monkeypatch):
+    """Wrap the scene generators the way perfbench's tracer does; returns the tally."""
+    drawn = []
+    for name in ("_random_scene", "_archetype_pair_scene"):
+        original = getattr(datagen, name)
+
+        def wrapper(*args, original=original):
+            scene = original(*args)
+            assert isinstance(scene, Scene)
+            drawn.append(scene)
+            return scene
+        monkeypatch.setattr(datagen, name, wrapper)
+    return drawn
+
+
+SPECS = [SceneGenSpec(seed=0), SceneGenSpec(seed=7),
+         SceneGenSpec(seed=3, min_objects=2, max_objects=9, duplicate_type_probability=1.0,
+                      image_width=301.5, image_height=977.0)]
+
+
+# --- scene draws -----------------------------------------------------------------
+
+@pytest.mark.parametrize("objects", [(2, 2), (3, 7), (8, 12)])
+@pytest.mark.parametrize("duplicates", [0.0, 1.0])
+@pytest.mark.parametrize("size", [(640.0, 480.0), (123.25, 1999.0)])
+def test_generate_scenes_equals_per_object_uniform_draws(objects, duplicates, size):
+    for seed in range(6):
+        spec = SceneGenSpec(min_objects=objects[0], max_objects=objects[1],
+                            duplicate_type_probability=duplicates,
+                            image_width=size[0], image_height=size[1], seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = [reference_random_scene(spec, rng) for _ in range(12)]
+        scenes = generate_scenes(spec, 12)
+        assert scenes == expected
+        assert all(type(v) is float for scene in scenes for o in scene.objects
+                   for v in (o.box.x, o.box.y, o.box.w, o.box.h))
+
+
+# --- synthesis -------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("n", [7, 61])
+def test_synth_rpn_equals_scalar_loop(spec, n):
+    expected, _ = reference_synth_rpn(spec, n)
+    assert_same_samples(synth_rpn_dataset(spec, n), expected)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("n", [7, 61])
+def test_synth_rin_equals_scalar_loop(spec, n):
+    expected, _ = reference_synth_rin(spec, n)
+    assert_same_samples(synth_rin_dataset(spec, n), expected)
+
+
+def test_rpn_budget_edge_and_scene_draws(monkeypatch):
+    spec = SceneGenSpec(seed=4)
+    expected, needed = reference_synth_rpn(spec, 23)
+    assert needed > datagen._BLOCK_STEPS  # the edge falls inside a later block
+    drawn = count_scene_draws(monkeypatch)
+    monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed)
+    assert_same_samples(synth_rpn_dataset(spec, 23), expected)
+    assert needed <= len(drawn) < needed + datagen._BLOCK_STEPS
+    monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed - 1)
+    assert reference_synth_rpn(spec, 23, budget=needed - 1)[0] is None
+    with pytest.raises(RuntimeError, match="budget"):
+        synth_rpn_dataset(spec, 23)
+
+
+def test_rin_budget_edge_and_scene_draws(monkeypatch):
+    spec = SceneGenSpec(seed=4)
+    expected, needed = reference_synth_rin(spec, 31)
+    drawn = count_scene_draws(monkeypatch)
+    monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed)
+    assert_same_samples(synth_rin_dataset(spec, 31), expected)
+    assert len(drawn) == needed
+    monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed - 1)
+    assert reference_synth_rin(spec, 31, budget=needed - 1)[0] is None
+    with pytest.raises(RuntimeError, match="budget"):
+        synth_rin_dataset(spec, 31)
+
+
+# --- annotation extraction -------------------------------------------------------
+
+def annotation_file(tmp_path):
+    """Two images whose relationships share, repeat and mirror boxes."""
+    a = {"x": 10, "y": 10, "w": 20, "h": 20}
+    b = {"x": 50, "y": 40, "w": 20, "h": 30}
+    c = {"x": 15, "y": 70, "w": 60, "h": 20}
+    wide = {"x": 5, "y": 5, "w": 90, "h": 90}
+    doc = [
+        {"image_id": 1, "width": 100, "height": 100, "relationships": [
+            {"predicate": "left of", "subject": a, "object": b},
+            {"predicate": "left of", "subject": a, "object": b},
+            {"predicate": "right of", "subject": b, "object": a},
+            {"predicate": "behind", "subject": a, "object": c},
+            {"predicate": "on", "subject": a, "object": wide},
+            {"predicate": "holding", "subject": c, "object": b},
+            {"predicate": "left of", "subject": a, "object": dict(a)},
+            {"predicate": "under", "subject": wide, "object": {"x": 90, "y": 90, "w": 40, "h": 40}},
+        ]},
+        {"image_id": 2, "width": 64, "height": 48, "relationships": [
+            {"predicate": "in front of", "subject": {"x": 4, "y": 30, "w": 10, "h": 10},
+             "object": {"x": 4, "y": 2, "w": 10, "h": 10}},
+            {"predicate": "in front of", "subject": {"x": 4, "y": 30, "w": 10, "h": 10},
+             "object": {"x": 40, "y": 2, "w": 10, "h": 10}},
+        ]},
+    ]
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("cap", [2057, 2])
+def test_extract_rin_equals_scalar_loop(tmp_path, cap):
+    path = annotation_file(tmp_path)
+    samples = extract_rin_dataset(path, per_class_cap=cap, seed=5)
+    assert any(not s.label for s in samples)
+    assert_same_samples(samples, reference_extract_rin(path, per_class_cap=cap, seed=5))

@@ -1,8 +1,10 @@
 """Rule-table behavior, including the x-axis containment quirk kept verbatim."""
 
+import numpy as np
 from hypothesis import given, strategies as st
 
-from refexp.rules import CATEGORIES, dominant_category, rule_holds, rule_margins, rule_relations
+from refexp.rules import (CATEGORIES, dominant_category, rule_holds, rule_margins, rule_relations,
+                          rule_table)
 from refexp.scene import BoundingBox, RelationCategory
 
 R = RelationCategory
@@ -88,3 +90,38 @@ def test_dominant_prefers_larger_margin():
 
 def test_dominant_none_when_nothing_fires():
     assert dominant_category(box(1, 1, 2, 2), box(1, 1, 2, 2), 100, 100) is None
+
+
+# --- the vectorized table against the scalar rules ------------------------------
+
+grid = st.integers(min_value=0, max_value=12).map(float)
+grid_sides = st.integers(min_value=1, max_value=6).map(float)
+# small integer grids make equal edges, shared corners and identical boxes common
+mixed_boxes = st.one_of(st.builds(BoundingBox, grid, grid, grid_sides, grid_sides), boxes)
+image_sizes = st.sampled_from([(640.0, 480.0), (1.0, 1.0), (37.0, 53.0), (12, 7)])
+
+
+@given(st.lists(mixed_boxes, min_size=1, max_size=7), image_sizes)
+def test_rule_table_equals_scalar_rules_bit_for_bit(box_list, size):
+    box_list = box_list + box_list[:1]  # every list holds an identical pair
+    width, height = size
+    pixels = np.array([(b.x, b.y, b.w, b.h) for b in box_list])
+    table = rule_table(pixels[:, None], pixels[None, :], width, height)
+    expected = np.array([[[rule_margins(a, b, width, height).get(cat, np.nan) for cat in CATEGORIES]
+                          for b in box_list] for a in box_list])
+    holds = np.array([[[rule_holds(a, b, cat) for cat in CATEGORIES] for b in box_list]
+                      for a in box_list])
+    assert table.shape == (len(box_list), len(box_list), len(CATEGORIES))
+    np.testing.assert_array_equal(table, expected)
+    np.testing.assert_array_equal(~np.isnan(table), holds)
+
+
+@given(mixed_boxes, mixed_boxes)
+def test_rule_table_single_pair_and_flat_batch(a, b):
+    pair = np.array([[a.x, a.y, a.w, a.h], [b.x, b.y, b.w, b.h]])
+    single = rule_table(pair[0], pair[1], 640.0, 480.0)
+    batch = rule_table(pair, pair[::-1], 640.0, 480.0)
+    assert single.shape == (len(CATEGORIES),)
+    np.testing.assert_array_equal(batch[0], single)
+    np.testing.assert_array_equal(
+        batch[1], [rule_margins(b, a, 640.0, 480.0).get(cat, np.nan) for cat in CATEGORIES])
