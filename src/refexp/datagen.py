@@ -8,10 +8,9 @@ every emitted feature vector re-derives bit-exactly from its source boxes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .networks import encode_pair, encode_relation
 # rule_holds and rule_margins are not called here; perfbench/tracing.py patches them on this module
 from .rules import rule_holds, rule_margins, rule_table  # noqa: F401
 from .scene import (CATEGORIES, BoundingBox, RelationCategory, Scene, SceneFormatError,
-                    SceneObject, clamp_box, scene_from_json, scene_to_json)
+                    SceneObject, _is_finite_number, clamp_box, scene_from_json, scene_to_json)
 
 logger = logging.getLogger(__name__)
 
@@ -69,22 +68,39 @@ class SceneGenSpec:
             raise ValueError("image dimensions must be positive")
 
 
-def _random_scene(spec: SceneGenSpec, rng: np.random.Generator) -> Scene:
+def _uniforms(rng: np.random.Generator, count: int) -> Callable[[float, float], float]:
+    """Draws like rng.uniform(low, high), from count doubles read in one call.
+
+    NumPy's uniform(low, high) is low + (high - low) * random(), so the values
+    and the stream match count scalar rng.uniform calls bit for bit.
+    """
+    draws = iter(rng.random(count).tolist())
+    return lambda low, high: low + (high - low) * next(draws)
+
+
+def _cluttered_boxes(spec: SceneGenSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One cluttered scene's (n, 4) pixel boxes (x, y, w, h) and type-pool indices."""
     n = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-    names = [str(t) for t in rng.choice(np.asarray(spec.object_type_pool), size=n, replace=False)]
+    types = rng.choice(len(spec.object_type_pool), size=n, replace=False)
     if rng.random() < spec.duplicate_type_probability:
         # the ambiguity driver: force at least one repeated type
-        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-        names[j] = names[i]
-    # one draw per (object, side): uniform(a, b) is a + (b - a) * random()
-    u = rng.random((n, 4))
-    w = (0.05 + (0.35 - 0.05) * u[:, 0]) * spec.image_width
-    h = (0.05 + (0.35 - 0.05) * u[:, 1]) * spec.image_height
-    x = (spec.image_width - w) * u[:, 2]
-    y = (spec.image_height - h) * u[:, 3]
+        i, j = rng.choice(n, size=2, replace=False)
+        types[j] = types[i]
+    W, H = spec.image_width, spec.image_height
+    uniform = _uniforms(rng, 4 * n)
+    boxes = []
+    for _ in range(n):
+        w = uniform(0.05, 0.35) * W
+        h = uniform(0.05, 0.35) * H
+        boxes.append((uniform(0.0, W - w), uniform(0.0, H - h), w, h))
+    return np.array(boxes), types
+
+
+def _random_scene(spec: SceneGenSpec, rng: np.random.Generator) -> Scene:
+    boxes, types = _cluttered_boxes(spec, rng)
     return Scene(spec.image_width, spec.image_height, tuple(
-        SceneObject(oid, names[oid], BoundingBox(*box))
-        for oid, box in enumerate(zip(x.tolist(), y.tolist(), w.tolist(), h.tolist()))))
+        SceneObject(oid, str(spec.object_type_pool[t]), BoundingBox(*box))
+        for oid, (t, box) in enumerate(zip(types.tolist(), boxes.tolist()))))
 
 
 def generate_scenes(spec: SceneGenSpec, count: int) -> list[Scene]:
@@ -110,43 +126,50 @@ RIN_NEAR_DISTANCE = 0.30
 RIN_FAR_DISTANCE = 0.40
 
 
-def _archetype_pair_scene(spec: SceneGenSpec, rng: np.random.Generator,
-                          archetype: int) -> Scene:
-    """Two-object scene exercising one relation axis at a random image position.
+def _archetype_boxes(spec: SceneGenSpec, rng: np.random.Generator, archetype: int) -> np.ndarray:
+    """The (2, 4) pixel boxes of a two-object scene exercising one relation axis.
 
     0: side-by-side boxes (left/right), 1: stacked boxes (in-front/behind),
-    2: x-nested boxes with nested y spans (on-top/at-bottom). Keeps the
-    thresholded region well covered at every position and adjacency scale.
+    2: x-nested boxes with nested y spans (on-top/at-bottom), each at a random
+    image position. Keeps the thresholded region well covered at every
+    position and adjacency scale.
     """
     W, H = spec.image_width, spec.image_height
+    uniform = _uniforms(rng, 8 if archetype == 2 else 5)
     if archetype == 0:
-        w = rng.uniform(0.04, 0.20) * W
-        h = rng.uniform(0.04, 0.20) * H
-        gap = rng.uniform(0.02, 0.50) * W
-        x0 = rng.uniform(0.0, max(W - 2 * w - gap, 1.0))
-        y = rng.uniform(0.0, H - h)
-        boxes = (BoundingBox(x0, y, w, h), BoundingBox(x0 + w + gap, y, w, h))
+        w = uniform(0.04, 0.20) * W
+        h = uniform(0.04, 0.20) * H
+        gap = uniform(0.02, 0.50) * W
+        x0 = uniform(0.0, max(W - 2 * w - gap, 1.0))
+        y = uniform(0.0, H - h)
+        boxes = ((x0, y, w, h), (x0 + w + gap, y, w, h))
     elif archetype == 1:
-        w = rng.uniform(0.04, 0.20) * W
-        h = rng.uniform(0.04, 0.20) * H
-        gap = rng.uniform(0.02, 0.50) * H
-        x = rng.uniform(0.0, W - w)
-        y0 = rng.uniform(0.0, max(H - 2 * h - gap, 1.0))
-        boxes = (BoundingBox(x, y0, w, h), BoundingBox(x, y0 + h + gap, w, h))
+        w = uniform(0.04, 0.20) * W
+        h = uniform(0.04, 0.20) * H
+        gap = uniform(0.02, 0.50) * H
+        x = uniform(0.0, W - w)
+        y0 = uniform(0.0, max(H - 2 * h - gap, 1.0))
+        boxes = ((x, y0, w, h), (x, y0 + h + gap, w, h))
     else:
-        outer_w = rng.uniform(0.22, 0.35) * W
-        slack_l = rng.uniform(0.03, 0.08) * W
-        slack_r = rng.uniform(0.03, 0.08) * W
+        outer_w = uniform(0.22, 0.35) * W
+        slack_l = uniform(0.03, 0.08) * W
+        slack_r = uniform(0.03, 0.08) * W
         inner_w = outer_w - slack_l - slack_r
-        outer_h = rng.uniform(0.22, 0.35) * H
-        inner_h = rng.uniform(0.3, 0.7) * outer_h
-        x0 = rng.uniform(0.0, W - outer_w)
-        y0 = rng.uniform(0.0, H - outer_h)
-        inner_y = y0 + rng.uniform(0.0, outer_h - inner_h)
-        boxes = (BoundingBox(x0, y0, outer_w, outer_h),
-                 BoundingBox(x0 + slack_l, inner_y, inner_w, inner_h))
-    return Scene(W, H, (SceneObject(0, "object", boxes[0]),
-                        SceneObject(1, "object", boxes[1])))
+        outer_h = uniform(0.22, 0.35) * H
+        inner_h = uniform(0.3, 0.7) * outer_h
+        x0 = uniform(0.0, W - outer_w)
+        y0 = uniform(0.0, H - outer_h)
+        inner_y = y0 + uniform(0.0, outer_h - inner_h)
+        boxes = ((x0, y0, outer_w, outer_h), (x0 + slack_l, inner_y, inner_w, inner_h))
+    return np.array(boxes)
+
+
+def _archetype_pair_scene(spec: SceneGenSpec, rng: np.random.Generator,
+                          archetype: int) -> Scene:
+    first, second = _archetype_boxes(spec, rng, archetype).tolist()
+    return Scene(spec.image_width, spec.image_height,
+                 (SceneObject(0, "object", BoundingBox(*first)),
+                  SceneObject(1, "object", BoundingBox(*second))))
 
 
 def _box_rows(scene: Scene) -> list[tuple[float, float, float, float]]:
@@ -169,16 +192,18 @@ def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
     W, H = spec.image_width, spec.image_height
     for start in range(0, _SCENE_BUDGET, _BLOCK_STEPS):
         # alternate cluttered scenes with targeted two-box scenes
-        scenes = [_random_scene(spec, rng) if step % 2 == 0
-                  else _archetype_pair_scene(spec, rng, (step // 2) % 3)
-                  for step in range(start, min(start + _BLOCK_STEPS, _SCENE_BUDGET))]
-        boxes, pairs = [], []
-        for scene in scenes:
-            offset = len(boxes)
-            boxes.extend(_box_rows(scene))
-            pairs.extend(itertools.permutations(range(offset, len(boxes)), 2))
-        boxes = np.array(boxes)
-        targets, references = np.array(pairs).T
+        drawn = [_cluttered_boxes(spec, rng)[0] if step % 2 == 0
+                 else _archetype_boxes(spec, rng, (step // 2) % 3)
+                 for step in range(start, min(start + _BLOCK_STEPS, _SCENE_BUDGET))]
+        boxes = np.concatenate(drawn)
+        # ordered pairs of distinct boxes of one scene, in (scene, target,
+        # reference) order: the k-th reference of a target is the k-th box of
+        # its scene, skipping the target itself
+        sizes = np.array([len(b) for b in drawn])
+        targets = np.repeat(np.arange(len(boxes)), np.repeat(sizes - 1, sizes))
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)[targets]
+        references = first + np.arange(len(targets)) - np.searchsorted(targets, targets)
+        references += references >= targets
         # the dominant rule is the largest margin, ties to the lowest category;
         # it is clear when it beats the runner-up (0.0 if none) by the gap
         margins = rule_table(boxes[targets], boxes[references], W, H)
@@ -212,11 +237,11 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     # one pool per (category, label), informative first
     quotas = [q for share in _share(n, len(CATEGORIES)) for q in (share - share // 2, share // 2)]
     pools: list[list[RinSample]] = [[] for _ in quotas]
+    one_hot = np.eye(len(CATEGORIES))
     rng = np.random.default_rng(spec.seed)
     W, H = spec.image_width, spec.image_height
     for _ in range(_SCENE_BUDGET):
-        scene = _random_scene(spec, rng)  # object ids are 0..n-1, in order
-        boxes = np.array(_box_rows(scene))
+        boxes, _ = _cluttered_boxes(spec, rng)
         holds = ~np.isnan(rule_table(boxes[:, None], boxes[None, :], W, H))
         cx, cy = (boxes[:, :2] + boxes[:, 2:] / 2.0).T
         distance = np.hypot((cx[:, None] - cx) / W, (cy[:, None] - cy) / H)
@@ -225,13 +250,16 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
         label = nearest[:, None, :] == np.arange(len(boxes))[:, None]
         clear = np.where(label, ~(distance > RIN_NEAR_DISTANCE)[:, :, None],
                          ~(distance < RIN_FAR_DISTANCE)[:, :, None])
-        emitted = np.nonzero((holds & clear).transpose(0, 2, 1))
-        for target, c, reference in zip(*(axis.tolist() for axis in emitted)):
-            informative = bool(label[target, reference, c])
-            slot = 2 * c + (not informative)
+        targets, cats, references = np.nonzero((holds & clear).transpose(0, 2, 1))
+        informative = label[targets, references, cats]
+        # the rows encode_relation builds: clamped unit boxes, then the one-hot category
+        unit = np.clip(boxes / (W, H, W, H), 0.0, 1.0)
+        for target, c, reference, is_informative in zip(
+                targets.tolist(), cats.tolist(), references.tolist(), informative.tolist()):
+            slot = 2 * c + (not is_informative)
             if len(pools[slot]) < quotas[slot]:
                 pools[slot].append(RinSample(
-                    encode_relation(scene, target, reference, CATEGORIES[c]), informative))
+                    np.concatenate((unit[target], unit[reference], one_hot[c])), is_informative))
         if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
             return [sample for pool in pools for sample in pool]
     raise RuntimeError("scene budget exhausted before the dataset was balanced")
@@ -329,13 +357,6 @@ def load_synonym_map(path: str) -> dict[str, RelationCategory]:
 def _require(condition: bool, where: str, problem: str) -> None:
     if not condition:
         raise DatasetFormatError(f"{where}: {problem}")
-
-
-def _is_finite_number(v: object) -> bool:
-    try:
-        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _endpoint_box(entry: object, where: str) -> tuple[float, float, float, float]:

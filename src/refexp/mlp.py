@@ -9,6 +9,7 @@ fixed (dataset, specs, config) triple.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0 or self.patience <= 0:
             raise ValueError("learning_rate, batch_size, max_epochs and patience must be positive")
         if not (0.0 < self.validation_fraction < 1.0):
@@ -147,7 +150,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _activation_grad(z: np.ndarray, act: str) -> np.ndarray:
     if act == "relu":
-        return (z > 0).astype(np.float64)
+        return z > 0  # multiplying by the mask equals multiplying by 1.0 / 0.0
     if act == "sigmoid":
         s = _sigmoid(z)
         return s * (1.0 - s)
@@ -182,24 +185,27 @@ def _validate_specs(specs: list[LayerSpec]) -> None:
 
 # --- loss heads ---------------------------------------------------------------
 
-def _head_loss_and_grad(logits: np.ndarray, labels: np.ndarray, head: str) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its gradient w.r.t. the output logits."""
-    n = logits.shape[0]
+def _head_loss(logits: np.ndarray, labels: np.ndarray, head: str) -> float:
+    """Mean loss over the batch."""
     if head == "softmax":
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        picked = logits[np.arange(n), labels]
-        loss = float((log_z - picked).mean())
+        return float((log_z - logits[np.arange(len(logits)), labels]).mean())
+    z = logits[:, 0]
+    return float((np.maximum(z, 0.0) - z * labels + np.log1p(np.exp(-np.abs(z)))).mean())
+
+
+def _head_grad(logits: np.ndarray, labels: np.ndarray, head: str) -> np.ndarray:
+    """Gradient of the mean loss w.r.t. the output logits."""
+    n = logits.shape[0]
+    if head == "softmax":
         grad = _activate(logits, "softmax")
         grad[np.arange(n), labels] -= 1.0
-        return loss, grad / n
+        return grad / n
     if head == "sigmoid":
-        z = logits[:, 0]
-        y = labels.astype(np.float64)
-        loss = float((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean())
         grad = np.zeros_like(logits)
-        grad[:, 0] = (_sigmoid(z) - y) / n
-        return loss, grad
+        grad[:, 0] = (_sigmoid(logits[:, 0]) - labels) / n
+        return grad
     raise ValueError(f"training requires a softmax or sigmoid output layer, got '{head}'")
 
 
@@ -272,8 +278,7 @@ def _backward(model: MlpModel, caches, grad_logits: np.ndarray):
 
 def _batch_loss(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     out, _ = _forward_cached(model, x, rng=None)
-    loss, _ = _head_loss_and_grad(out, labels, model.activations[-1])
-    return loss
+    return _head_loss(out, labels, model.activations[-1])
 
 
 def accuracy(model: MlpModel, dataset) -> float:
@@ -302,26 +307,31 @@ def train(dataset, specs: list[LayerSpec], cfg: TrainConfig = TrainConfig(),
     if n - n_val < 1:
         raise ValueError(f"dataset of {n} samples is too small to split off validation data")
     perm = rng.permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    x_val, y_val = features[perm[:n_val]], labels[perm[:n_val]]
+    x_train, y_train = features[perm[n_val:]], labels[perm[n_val:]]
 
     report = TrainReport()
     best_val = -1.0
     best_weights = None
     stale = 0
     for epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(train_idx))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = train_idx[order[start:start + cfg.batch_size]]
-            out, caches = _forward_cached(model, features[batch], rng)
-            _, grad = _head_loss_and_grad(out, labels[batch], head)
+        order = rng.permutation(len(x_train))
+        xs, ys = x_train[order], y_train[order]
+        for start in range(0, len(xs), cfg.batch_size):
+            out, caches = _forward_cached(model, xs[start:start + cfg.batch_size], rng)
+            grad = _head_grad(out, ys[start:start + cfg.batch_size], head)
             grads_w, grads_b = _backward(model, caches, grad)
             for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
                 w -= cfg.learning_rate * gw
                 b -= cfg.learning_rate * gb
-        train_pred = _predictions(model.forward_batch(features[train_idx]), head)
-        val_pred = _predictions(model.forward_batch(features[val_idx]), head)
-        report.train_accuracy.append(float((train_pred == labels[train_idx]).mean()))
-        report.validation_accuracy.append(float((val_pred == labels[val_idx]).mean()))
+        if not all(np.isfinite(w).all() and np.isfinite(b).all()
+                   for w, b in zip(model.weights, model.biases)):
+            raise ValueError(f"training diverged: parameters became non-finite in epoch {epoch}; "
+                             f"lower the learning rate (got {cfg.learning_rate})")
+        train_pred = _predictions(model.forward_batch(x_train), head)
+        val_pred = _predictions(model.forward_batch(x_val), head)
+        report.train_accuracy.append(float((train_pred == y_train).mean()))
+        report.validation_accuracy.append(float((val_pred == y_val).mean()))
         report.epochs_run = epoch + 1
         if report.validation_accuracy[-1] > best_val:
             best_val = report.validation_accuracy[-1]
@@ -349,8 +359,7 @@ def gradient_check(model: MlpModel, features, label, step: float = 1e-5) -> floa
         labels = np.asarray([int(bool(label))], dtype=np.int64)
 
     out, caches = _forward_cached(model, x, rng=None)
-    _, grad = _head_loss_and_grad(out, labels, head)
-    grads_w, grads_b = _backward(model, caches, grad)
+    grads_w, grads_b = _backward(model, caches, _head_grad(out, labels, head))
 
     worst = 0.0
     for params, grads in ((model.weights, grads_w), (model.biases, grads_b)):

@@ -190,8 +190,15 @@ _SCENE_KEYS = ("image_width", "image_height", "objects")
 _OBJECT_KEYS = ("id", "type", "box")
 
 
+def _is_finite_number(v: object) -> bool:
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _is_finite_number(value):
         raise SceneFormatError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 

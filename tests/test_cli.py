@@ -1,5 +1,6 @@
 """End-to-end command behavior through the argparse entry point."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -66,6 +67,16 @@ class TestGeneration:
         assert main(["gen-data", "rin", "--out", str(out), "-n", "48"]) == 0
         assert len(read_rin_samples(str(out))) == 48
 
+    @pytest.mark.parametrize("kind, n, digest", [
+        ("rpn", "600", "95d89314f5c54d1cea3cad2b36d188160037efbadc358fcf70e4c7e3c086e5c0"),
+        ("rin", "800", "2eb05446f881b773cfce7c1b86759442f87e69ccb67151f25392ef90b0ba7915"),
+    ])
+    def test_gen_data_bytes_are_pinned(self, tmp_path, kind, n, digest):
+        # datasets written for a seed never change, whatever the synthesis code
+        out = tmp_path / f"{kind}.jsonl"
+        assert main(["gen-data", kind, "--out", str(out), "-n", n, "--seed", "0"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestTrain:
     def test_writes_loadable_weights(self, tmp_path, capsys):
@@ -92,6 +103,17 @@ class TestTrain:
         code = main(["train", "rpn", str(data), "--out", str(weights), "--epochs", "2"])
         assert code == 2
         assert "line 4.features" in capsys.readouterr().err
+        assert not weights.exists()
+
+    @pytest.mark.parametrize("lr", ["1e308", "nan"])
+    def test_divergent_or_non_finite_learning_rate_writes_nothing(self, tmp_path, capsys, lr):
+        data = tmp_path / "rpn.jsonl"
+        main(["gen-data", "rpn", "--out", str(data), "-n", "60"])
+        weights = tmp_path / "m.json"
+        code = main(["train", "rpn", str(data), "--out", str(weights), "--epochs", "3",
+                     "--lr", lr])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
         assert not weights.exists()
 
     def test_tiny_dataset_rejected(self, tmp_path, capsys):
@@ -121,6 +143,16 @@ class TestDescribe:
                      "--rpn", rpn_path, "--rin", rin_path])
         assert code == 1
         assert json.loads(capsys.readouterr().out) == {"error": "empty_candidates"}
+
+    def test_number_beyond_float_range_is_usage_error(self, tmp_path, capsys, model_files):
+        rpn_path, rin_path = model_files
+        doc = dict(scene_to_json(two_books_and_mouse()), image_width=10 ** 400)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        code = main(["describe", str(scene), "--target", "0",
+                     "--rpn", rpn_path, "--rin", rin_path])
+        assert code == 2
+        assert "image_width must be a finite number" in capsys.readouterr().err
 
     def test_missing_scene_file_is_usage_error(self, tmp_path, capsys, model_files):
         rpn_path, rin_path = model_files

@@ -38,6 +38,37 @@ def reference_random_scene(spec, rng):
     return Scene(spec.image_width, spec.image_height, tuple(objects))
 
 
+def reference_archetype_pair_scene(spec, rng, archetype):
+    W, H = spec.image_width, spec.image_height
+    if archetype == 0:
+        w = rng.uniform(0.04, 0.20) * W
+        h = rng.uniform(0.04, 0.20) * H
+        gap = rng.uniform(0.02, 0.50) * W
+        x0 = rng.uniform(0.0, max(W - 2 * w - gap, 1.0))
+        y = rng.uniform(0.0, H - h)
+        boxes = (BoundingBox(x0, y, w, h), BoundingBox(x0 + w + gap, y, w, h))
+    elif archetype == 1:
+        w = rng.uniform(0.04, 0.20) * W
+        h = rng.uniform(0.04, 0.20) * H
+        gap = rng.uniform(0.02, 0.50) * H
+        x = rng.uniform(0.0, W - w)
+        y0 = rng.uniform(0.0, max(H - 2 * h - gap, 1.0))
+        boxes = (BoundingBox(x, y0, w, h), BoundingBox(x, y0 + h + gap, w, h))
+    else:
+        outer_w = rng.uniform(0.22, 0.35) * W
+        slack_l = rng.uniform(0.03, 0.08) * W
+        slack_r = rng.uniform(0.03, 0.08) * W
+        inner_w = outer_w - slack_l - slack_r
+        outer_h = rng.uniform(0.22, 0.35) * H
+        inner_h = rng.uniform(0.3, 0.7) * outer_h
+        x0 = rng.uniform(0.0, W - outer_w)
+        y0 = rng.uniform(0.0, H - outer_h)
+        inner_y = y0 + rng.uniform(0.0, outer_h - inner_h)
+        boxes = (BoundingBox(x0, y0, outer_w, outer_h),
+                 BoundingBox(x0 + slack_l, inner_y, inner_w, inner_h))
+    return Scene(W, H, (SceneObject(0, "object", boxes[0]), SceneObject(1, "object", boxes[1])))
+
+
 def reference_clear_dominant(scene, target, reference):
     margins = rule_margins(target.box, reference.box, scene.image_width, scene.image_height)
     if not margins:
@@ -61,7 +92,7 @@ def reference_synth_rpn(spec, n, budget=200_000):
         if step % 2 == 0:
             scene = reference_random_scene(spec, rng)
         else:
-            scene = datagen._archetype_pair_scene(spec, rng, (step // 2) % 3)
+            scene = reference_archetype_pair_scene(spec, rng, (step // 2) % 3)
         drawn += 1
         for target in scene.objects:
             for reference in scene.objects:
@@ -176,17 +207,22 @@ def assert_same_samples(actual, expected):
 
 
 def count_scene_draws(monkeypatch):
-    """Wrap the scene generators the way perfbench's tracer does; returns the tally."""
+    """Wrap the scene box draws through the module; returns the tally of box arrays."""
     drawn = []
-    for name in ("_random_scene", "_archetype_pair_scene"):
-        original = getattr(datagen, name)
 
-        def wrapper(*args, original=original):
-            scene = original(*args)
-            assert isinstance(scene, Scene)
-            drawn.append(scene)
-            return scene
-        monkeypatch.setattr(datagen, name, wrapper)
+    def cluttered(*args, original=datagen._cluttered_boxes):
+        boxes, types = original(*args)
+        assert boxes.shape == (len(types), 4)
+        drawn.append(boxes)
+        return boxes, types
+
+    def archetype(*args, original=datagen._archetype_boxes):
+        boxes = original(*args)
+        assert boxes.shape == (2, 4)
+        drawn.append(boxes)
+        return boxes
+    monkeypatch.setattr(datagen, "_cluttered_boxes", cluttered)
+    monkeypatch.setattr(datagen, "_archetype_boxes", archetype)
     return drawn
 
 
@@ -211,6 +247,18 @@ def test_generate_scenes_equals_per_object_uniform_draws(objects, duplicates, si
         assert scenes == expected
         assert all(type(v) is float for scene in scenes for o in scene.objects
                    for v in (o.box.x, o.box.y, o.box.w, o.box.h))
+
+
+@pytest.mark.parametrize("size", [(640.0, 480.0), (123.25, 1999.0), (3.0, 2.0)])
+def test_archetype_pair_scene_equals_scalar_uniform_draws(size):
+    spec = SceneGenSpec(image_width=size[0], image_height=size[1])
+    rng, expected_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for step in range(60):
+        scene = datagen._archetype_pair_scene(spec, rng, step % 3)
+        assert scene == reference_archetype_pair_scene(spec, expected_rng, step % 3)
+        assert all(type(v) is float for o in scene.objects
+                   for v in (o.box.x, o.box.y, o.box.w, o.box.h))
+    assert rng.random() == expected_rng.random()  # both consumed the same stream
 
 
 # --- synthesis -------------------------------------------------------------------

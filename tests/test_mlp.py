@@ -146,6 +146,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=lr)
+
+    def test_divergent_training_raises(self):
+        specs = [LayerSpec(2, 8, "relu"), LayerSpec(8, 1, "sigmoid")]
+        with pytest.raises(ValueError, match="non-finite"):
+            train(toy_blobs(), specs, TrainConfig(learning_rate=1e308, max_epochs=5))
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):

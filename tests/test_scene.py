@@ -160,7 +160,7 @@ class TestSceneJson:
             scene_from_json(doc)
 
     @pytest.mark.parametrize("field", ["image_width", "image_height", "box"])
-    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1" + "0" * 400])
     def test_non_finite_number_rejected(self, field, literal):
         # json.loads accepts these literals; the schema must not
         doc = json.loads(json.dumps(self.DOC))
