@@ -317,13 +317,15 @@ def train(dataset, specs: list[LayerSpec], cfg: TrainConfig = TrainConfig(),
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(x_train))
         xs, ys = x_train[order], y_train[order]
-        for start in range(0, len(xs), cfg.batch_size):
-            out, caches = _forward_cached(model, xs[start:start + cfg.batch_size], rng)
-            grad = _head_grad(out, ys[start:start + cfg.batch_size], head)
-            grads_w, grads_b = _backward(model, caches, grad)
-            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                w -= cfg.learning_rate * gw
-                b -= cfg.learning_rate * gb
+        # a diverging step overflows; the finite check below reports it as an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(xs), cfg.batch_size):
+                out, caches = _forward_cached(model, xs[start:start + cfg.batch_size], rng)
+                grad = _head_grad(out, ys[start:start + cfg.batch_size], head)
+                grads_w, grads_b = _backward(model, caches, grad)
+                for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
+                    w -= cfg.learning_rate * gw
+                    b -= cfg.learning_rate * gb
         if not all(np.isfinite(w).all() and np.isfinite(b).all()
                    for w, b in zip(model.weights, model.biases)):
             raise ValueError(f"training diverged: parameters became non-finite in epoch {epoch}; "

@@ -105,12 +105,16 @@ class ScoredScene:
     against reference ``ids[j]`` in ``CATEGORIES[c]``; ids are sorted and NaN marks
     an unscored entry, such as the diagonal. As a sequence it holds the scored
     relations in (target, reference, category) order, built on first use.
+    Both arrays are made read-only, because the selection stages computed from
+    them are memoized here, per presence threshold, by ``build_candidate_sets``.
     """
 
     def __init__(self, ids, probabilities: np.ndarray, confidences: np.ndarray) -> None:
         self.ids = tuple(ids)
         self.probabilities = probabilities
         self.confidences = confidences
+        probabilities.flags.writeable = confidences.flags.writeable = False
+        self._selections: dict[float, tuple] = {}
 
     @classmethod
     def from_relations(cls, relations) -> "ScoredScene":

@@ -37,24 +37,34 @@ def _preference(rel: SpatialRelation) -> tuple:
     return (rel.confidence, -rel.reference_id, -rel.category.index)
 
 
+def _scene_stages(scored: ScoredScene, threshold: float) -> tuple:
+    """The stages that depend only on the scene and the threshold: the mask of
+    relations above it, those relations, and the per-(target, category) maxima."""
+    above = scored.probabilities > threshold  # NaN compares False
+    # per (target, category) the most confident relation; of tied references, the lowest id
+    confidence = np.where(above, scored.confidences, -np.inf)
+    best = above & (confidence == confidence.max(axis=1, keepdims=True, initial=-np.inf))
+    best &= best.cumsum(axis=1) == 1
+    above_threshold = ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan),
+                                  scored.confidences)
+    return above, above_threshold, scored.where(best)
+
+
 def build_candidate_sets(relations, target_id: int, cfg: PipelineConfig = PipelineConfig()) -> RelationSets:
     """Threshold the scored relations and reduce them to per-category maxima.
 
     ``relations`` is a ScoredScene or any iterable of relations. The
     probability test is strictly greater-than, so a relation sitting exactly
-    at the threshold is excluded.
+    at the threshold is excluded. A ScoredScene computes its target-independent
+    stages once per threshold and shares them across its targets.
     """
     scored = relations if isinstance(relations, ScoredScene) else ScoredScene.from_relations(relations)
-    above = scored.probabilities > cfg.presence_threshold  # NaN compares False
-    # per (target, category) the most confident relation; of tied references, the lowest id
-    confidence = np.where(above, scored.confidences, -np.inf)
-    best = above & (confidence == confidence.max(axis=1, keepdims=True, initial=-np.inf))
-    best &= best.cumsum(axis=1) == 1
-    best_per_category = scored.where(best)
+    threshold = cfg.presence_threshold
+    if threshold not in scored._selections:
+        scored._selections[threshold] = _scene_stages(scored, threshold)
+    above, above_threshold, best_per_category = scored._selections[threshold]
     competitors = tuple(r for r in best_per_category if r.target_id != target_id)
     from_target = scored.where(above & (np.asarray(scored.ids) == target_id)[:, None, None])
-    above_threshold = ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan),
-                                  scored.confidences)
     return RelationSets(above_threshold, from_target, best_per_category, competitors)
 
 

@@ -35,6 +35,10 @@ class RelationCategory(Enum):
     IN_FRONT = "in_front"
     BEHIND = "behind"
 
+    # Members are singletons compared by identity, so the C-level identity hash
+    # serves dict and set lookups; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
+
     @property
     def index(self) -> int:
         return _CATEGORY_INDEX[self]
@@ -187,6 +191,9 @@ def render_phrase(target: SceneObject, reference: SceneObject, category: Relatio
 # --- strict scene JSON schema ------------------------------------------------
 
 _SCENE_KEYS = ("image_width", "image_height", "objects")
+# Scoring holds n(n-1)*6 rin rows of 64 hidden floats (512 B) each: about
+# 200 MB at this bound, about 12 GB at 2,000 objects.
+_MAX_OBJECTS = 256
 _OBJECT_KEYS = ("id", "type", "box")
 
 
@@ -239,6 +246,9 @@ def scene_from_json(doc: object) -> Scene:
         raise SceneFormatError("image dimensions must be positive")
     if not isinstance(doc["objects"], list):
         raise SceneFormatError("objects must be a list")
+    if len(doc["objects"]) > _MAX_OBJECTS:
+        raise SceneFormatError(f"scene has {len(doc['objects'])} objects; "
+                               f"at most {_MAX_OBJECTS} are accepted")
 
     objects = []
     for pos, entry in enumerate(doc["objects"]):

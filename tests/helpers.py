@@ -22,6 +22,13 @@ def make_scene(entries, width=100.0, height=100.0):
     return Scene(width, height, objects)
 
 
+def crowded_scene_doc(n):
+    """A scene JSON document of n small boxes on a 16-column grid in a 100 x 80 image."""
+    return {"image_width": 100, "image_height": 80,
+            "objects": [{"id": i, "type": f"type{i % 5}", "box": [i % 16 * 6, i // 16 * 4, 5, 3]}
+                        for i in range(n)]}
+
+
 def two_books_and_mouse():
     # Target book 2 sits right of the mouse, twin book 0 on the far left.
     return make_scene([

@@ -15,7 +15,7 @@ from refexp.datagen import read_rin_samples, read_rpn_samples, read_scenes
 from refexp.mlp import load_model, save_model
 from refexp.scene import scene_to_json
 
-from helpers import make_scene, two_books_and_mouse
+from helpers import crowded_scene_doc, make_scene, two_books_and_mouse
 
 ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_PATH = "/usr/local/bin:/usr/bin:/bin"
@@ -105,15 +105,18 @@ class TestTrain:
         assert "line 4.features" in capsys.readouterr().err
         assert not weights.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lr", ["1e308", "nan"])
     def test_divergent_or_non_finite_learning_rate_writes_nothing(self, tmp_path, capsys, lr):
         data = tmp_path / "rpn.jsonl"
         main(["gen-data", "rpn", "--out", str(data), "-n", "60"])
+        capsys.readouterr()
         weights = tmp_path / "m.json"
         code = main(["train", "rpn", str(data), "--out", str(weights), "--epochs", "3",
                      "--lr", lr])
         assert code == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
         assert not weights.exists()
 
     def test_tiny_dataset_rejected(self, tmp_path, capsys):
@@ -153,6 +156,15 @@ class TestDescribe:
                      "--rpn", rpn_path, "--rin", rin_path])
         assert code == 2
         assert "image_width must be a finite number" in capsys.readouterr().err
+
+    def test_oversized_scene_is_usage_error(self, tmp_path, capsys, model_files):
+        rpn_path, rin_path = model_files
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(crowded_scene_doc(257)))
+        code = main(["describe", str(scene), "--target", "0",
+                     "--rpn", rpn_path, "--rin", rin_path])
+        assert code == 2
+        assert "257 objects; at most 256" in capsys.readouterr().err
 
     def test_missing_scene_file_is_usage_error(self, tmp_path, capsys, model_files):
         rpn_path, rin_path = model_files

@@ -16,6 +16,8 @@ from refexp.datagen import (DatasetFormatError, SceneGenSpec, extract_rin_datase
 from refexp.rules import dominant_category, rule_holds
 from refexp.scene import RelationCategory
 
+from helpers import crowded_scene_doc
+
 
 class TestSceneGenSpec:
     def test_min_objects_floor(self):
@@ -149,6 +151,12 @@ class TestJsonlRoundTrips:
         path = tmp_path / "scenes.jsonl"
         write_scenes(str(path), scenes)
         assert read_scenes(str(path)) == scenes
+
+    def test_oversized_scene_is_named(self, tmp_path):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text(json.dumps(crowded_scene_doc(3)) + "\n" + json.dumps(crowded_scene_doc(257)) + "\n")
+        with pytest.raises(DatasetFormatError, match="line 2: scene has 257 objects"):
+            read_scenes(str(path))
 
     def test_bad_line_is_named(self, tmp_path):
         path = tmp_path / "rpn.jsonl"

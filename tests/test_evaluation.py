@@ -131,9 +131,11 @@ class TestCompareCorpus:
 @pytest.mark.parametrize("run", [compare_corpus, pipeline_oracle_check])
 def test_each_scene_scored_once(monkeypatch, rpn_model, rin_model, run):
     """One score_scene call and one batch per net for each scene, shared by
-    every target, the baseline and the twin."""
-    scored, batches = [], []
+    every target, the baseline and the twin; the target-independent selection
+    stages are computed once per scene too (one memo miss each)."""
+    scored, batches, misses = [], [], []
     score_scene, forward_batch = pipeline.score_scene, MlpModel.forward_batch
+    scene_stages = pipeline._scene_stages
 
     def counting_score(rpn, rin, scene):
         scored.append(scene)
@@ -143,9 +145,15 @@ def test_each_scene_scored_once(monkeypatch, rpn_model, rin_model, run):
         batches.append(model)
         return forward_batch(model, features)
 
+    def counting_stages(scored_scene, threshold):
+        misses.append(scored_scene)
+        return scene_stages(scored_scene, threshold)
+
     monkeypatch.setattr(pipeline, "score_scene", counting_score)
     monkeypatch.setattr(MlpModel, "forward_batch", counting_forward)
+    monkeypatch.setattr(pipeline, "_scene_stages", counting_stages)
     scenes = mixed_corpus()[::4]
     run(rpn_model, rin_model, scenes)
     assert [id(s) for s in scored] == [id(s) for s in scenes]
     assert [id(m) for m in batches] == [id(rpn_model), id(rin_model)] * len(scenes)
+    assert len(misses) == len(scenes) == len({id(s) for s in misses})

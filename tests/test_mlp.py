@@ -151,6 +151,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_training_raises(self):
         specs = [LayerSpec(2, 8, "relu"), LayerSpec(8, 1, "sigmoid")]
         with pytest.raises(ValueError, match="non-finite"):

@@ -3,9 +3,11 @@ import pytest
 
 from refexp.mlp import MlpModel, init_model
 from refexp.networks import (NetworkShapeError, PAIR_FEATURE_DIM, RIN_DIMS,
-                             RIN_FEATURE_DIM, RPN_DIMS, encode_pair, encode_relation,
-                             rin_confidence, rin_layer_specs, rpn_layer_specs,
-                             rpn_probabilities, score_scene, validate_rin, validate_rpn)
+                             RIN_FEATURE_DIM, RPN_DIMS, ScoredScene, encode_pair,
+                             encode_relation, rin_confidence, rin_layer_specs,
+                             rpn_layer_specs, rpn_probabilities, score_scene, validate_rin,
+                             validate_rpn)
+from refexp.pipeline import build_candidate_sets
 from refexp.scene import RelationCategory, UnknownObjectError
 
 from helpers import make_scene
@@ -137,6 +139,20 @@ class TestScoreScene:
         forward = score_scene(rpn, rin, make_scene(entries))
         backward = score_scene(rpn, rin, make_scene(list(reversed(entries))))
         assert forward == backward
+
+    def test_arrays_are_read_only(self, models):
+        """The selection stages memoized on a ScoredScene cannot go stale."""
+        rpn, rin = models
+        scene = make_scene([(0, "a", (0, 0, 5, 5)), (1, "b", (20, 20, 5, 5)), (2, "a", (40, 5, 5, 5))])
+        scored = score_scene(rpn, rin, scene)
+        rebuilt = ScoredScene.from_relations(scored)
+        sets = build_candidate_sets(scored, 0)
+        for held in (scored, rebuilt, sets.above_threshold):
+            for scores in (held.probabilities, held.confidences):
+                with pytest.raises(ValueError, match="read-only"):
+                    scores[0, 1, 0] = 0.5
+        assert rebuilt == scored
+        assert build_candidate_sets(rebuilt, 0) == sets == build_candidate_sets(list(scored), 0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_arrays_equal_per_pair_rows(self, models, seed):

@@ -96,6 +96,25 @@ class TestBuildCandidateSets:
                     assert build_candidate_sets(scored, target, cfg) == \
                         loop_candidate_sets(list(scored), target, cfg)
 
+    def test_shared_scored_scene_matches_fresh_scoring(self, rpn_model, rin_model):
+        """Stages memoized on one ScoredScene, reused across targets with the
+        thresholds interleaved, equal those of a freshly scored scene."""
+        for scene in mixed_corpus():
+            shared = score_scene(rpn_model, rin_model, scene)
+            for target in scene.object_ids():
+                for threshold in (0.3, 0.5, 0.7):
+                    cfg = PipelineConfig(presence_threshold=threshold)
+                    got = build_candidate_sets(shared, target, cfg)
+                    want = build_candidate_sets(score_scene(rpn_model, rin_model, scene), target, cfg)
+                    assert got.above_threshold.ids == want.above_threshold.ids
+                    np.testing.assert_array_equal(got.above_threshold.probabilities,
+                                                  want.above_threshold.probabilities)
+                    np.testing.assert_array_equal(got.above_threshold.confidences,
+                                                  want.above_threshold.confidences)
+                    assert got.from_target == want.from_target
+                    assert got.best_per_category == want.best_per_category
+                    assert got.competitors == want.competitors
+
     def test_raising_threshold_never_adds(self):
         rng_rels = [rel(i % 3, (i + 1) % 3, list(R)[i % 6], (i % 10) / 10 + 0.05, 0.5)
                     for i in range(30)]

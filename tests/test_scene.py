@@ -1,13 +1,14 @@
 import json
+import pickle
 
 import pytest
 
-from refexp.scene import (BoundingBox, PipelineConfig, RelationCategory, Scene,
+from refexp.scene import (CATEGORIES, BoundingBox, PipelineConfig, RelationCategory, Scene,
                           SceneFormatError, SceneObject, UnknownObjectError,
                           canonical_type_name, clamp_box, load_scene, render_phrase,
                           scene_from_json, scene_to_json)
 
-from helpers import make_scene
+from helpers import crowded_scene_doc, make_scene
 
 
 def test_center_symmetric_box():
@@ -36,6 +37,19 @@ def test_box_rejects_negative_origin():
 def test_category_canonical_order():
     assert [c.value for c in sorted(RelationCategory, key=lambda c: c.index)] == [
         "right", "left", "on_top", "at_bottom", "in_front", "behind"]
+
+
+def test_category_lookups_by_identity():
+    R = RelationCategory
+    assert R.__hash__ is object.__hash__
+    table = {cat: cat.value for cat in R}
+    assert [table[cat] for cat in CATEGORIES] == [c.value for c in CATEGORIES]
+    assert R.LEFT in set(CATEGORIES) and R.LEFT in table
+    assert R("left") is R.LEFT
+    restored = pickle.loads(pickle.dumps(R.LEFT))
+    assert restored is R.LEFT and table[restored] == "left" and restored in {R.LEFT}
+    assert [cat.index for cat in CATEGORIES] == list(range(6))
+    assert CATEGORIES.index(R.ON_TOP) == R.ON_TOP.index == 2
 
 
 class TestRenderPhrase:
@@ -171,6 +185,11 @@ class TestSceneJson:
         doc = json.loads(json.dumps(doc).replace('"@"', literal))
         with pytest.raises(SceneFormatError, match="finite"):
             scene_from_json(doc)
+
+    def test_object_count_bounded(self):
+        assert len(scene_from_json(crowded_scene_doc(256)).objects) == 256
+        with pytest.raises(SceneFormatError, match="257 objects; at most 256"):
+            scene_from_json(crowded_scene_doc(257))
 
     def test_round_trip(self):
         scene = scene_from_json(self.DOC)
