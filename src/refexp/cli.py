@@ -168,13 +168,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_extract_vg(args: argparse.Namespace) -> int:
     synonyms = datagen.load_synonym_map(args.synonyms) if args.synonyms else None
+    cap = {} if args.cap is None else {"per_class_cap": args.cap}
     if args.kind == "rpn":
-        samples = datagen.extract_rpn_dataset(args.annotations, synonyms,
-                                              per_class_cap=args.cap, seed=args.seed)
+        samples = datagen.extract_rpn_dataset(args.annotations, synonyms, seed=args.seed, **cap)
         datagen.write_rpn_samples(args.out, samples)
     else:
-        samples = datagen.extract_rin_dataset(args.annotations, synonyms,
-                                              per_class_cap=args.cap, seed=args.seed)
+        samples = datagen.extract_rin_dataset(args.annotations, synonyms, seed=args.seed, **cap)
         datagen.write_rin_samples(args.out, samples)
     print(f"wrote {len(samples)} {args.kind} samples to {args.out}")
     return 0
@@ -256,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("rpn", "rin"))
     p.add_argument("annotations", help="annotation JSON file")
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=None,
-                   help="per-category sample cap (defaults: rpn 990, rin 2057)")
+    p.add_argument("--cap", type=int, help="per-category sample cap (default: the extractor's)")
     p.add_argument("--synonyms", help="JSON predicate synonym map")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_extract_vg)
@@ -274,8 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if getattr(args, "command", None) == "extract-vg" and args.cap is None:
-        args.cap = 990 if args.kind == "rpn" else 2057
     try:
         return args.func(args)
     except (SceneFormatError, DatasetFormatError, ModelFormatError, NetworkShapeError,

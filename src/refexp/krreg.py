@@ -1,65 +1,50 @@
 """Baseline generator: ranked landmarks, fixed relation priority, no learning.
 
-Landmarks are every object that is not the target and not one of its same-type
-distractors. Each landmark is ranked by normalized area over distance and own
-distractor count; relations come from the presence net thresholded at the
-configured value, and a relation is kept only when no distractor repeats it
-against an equally-typed landmark. Failure to find one is a value, not an
-error.
+Every object of another type than the target is a landmark; the target's own
+type-mates are its distractors. All of a target's landmarks are ranked in one
+pass, by normalized area over center distance and over the count of the
+landmark's own type-mates. Relations come from the presence net thresholded
+at the configured value, and a relation is kept only when no distractor
+repeats it against a landmark of the same type. Failure to find one is a
+value, not an error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+
+import numpy as np
 
 from .mlp import MlpModel
 # encode_pair is not called here; perfbench/tracing.py patches refexp.krreg.encode_pair
 from .networks import ScoredScene, encode_pair, presence_scores, validate_rpn  # noqa: F401
-from .scene import PipelineConfig, ReferringExpression, Scene, render_phrase
+from .scene import CATEGORIES, PipelineConfig, ReferringExpression, Scene, render_phrase
 
 DISTANCE_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class LandmarkRank:
-    landmark_id: int
-    rank: float
-    distance: float
-    distractor_count: int
+def _ranked_landmarks(scene: Scene, target_id: int) -> list[tuple[int, float]]:
+    """(landmark id, rank) for every object of another type, best first.
 
-
-def distractors(scene: Scene, target_id: int) -> set[int]:
-    """Ids of the other objects sharing the target's type."""
-    target = scene.object_by_id(target_id)
-    return {o.id for o in scene.objects if o.id != target_id and o.type_name == target.type_name}
-
-
-def landmarks(scene: Scene, target_id: int) -> set[int]:
-    """Ids of every object that is neither the target nor one of its distractors."""
-    scene.object_by_id(target_id)
-    same_type = distractors(scene, target_id)
-    return {o.id for o in scene.objects if o.id != target_id and o.id not in same_type}
-
-
-def rank(scene: Scene, target_id: int, landmark_id: int) -> LandmarkRank:
-    """Normalized landmark area over center distance and distractor count.
-
-    Both divisors are floored (distance at 1e-6, count at 1) so the rank is
-    always finite.
+    Both divisors are floored (distance at 1e-6, type-mate count at 1) so the
+    rank is always finite; equal ranks fall to the lower id.
     """
-    if landmark_id not in landmarks(scene, target_id):
-        raise ValueError(f"object {landmark_id} is not a landmark for target {target_id}")
     target = scene.object_by_id(target_id)
-    landmark = scene.object_by_id(landmark_id)
+    type_counts = Counter(o.type_name for o in scene.objects)
     w, h = scene.image_width, scene.image_height
-    area = (landmark.box.w / w) * (landmark.box.h / h)
     tx, ty = target.box.center()
-    lx, ly = landmark.box.center()
-    distance = math.hypot((tx - lx) / w, (ty - ly) / h)
-    count = len(distractors(scene, landmark_id))
-    value = area / (max(distance, DISTANCE_FLOOR) * max(count, 1))
-    return LandmarkRank(landmark_id, value, distance, count)
+    ranked = []
+    for landmark in scene.objects:
+        if landmark.type_name == target.type_name:
+            continue
+        area = (landmark.box.w / w) * (landmark.box.h / h)
+        lx, ly = landmark.box.center()
+        distance = math.hypot((tx - lx) / w, (ty - ly) / h)
+        count = type_counts[landmark.type_name] - 1
+        ranked.append((landmark.id, area / (max(distance, DISTANCE_FLOOR) * max(count, 1))))
+    ranked.sort(key=lambda entry: (-entry[1], entry[0]))
+    return ranked
 
 
 def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
@@ -76,23 +61,21 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
 
     probabilities = presence_scores(rpn, scene) if scored is None else scored.probabilities
     present = probabilities > cfg.presence_threshold
-    index = {oid: k for k, oid in enumerate(scene.object_ids())}
+    ids = scene.object_ids()
+    codes: dict[str, int] = {}
+    types = np.array([codes.setdefault(scene.object_by_id(oid).type_name, len(codes)) for oid in ids])
+    t = ids.index(target_id)
+    distractor_rows = types == types[t]
+    distractor_rows[t] = False
+    # per type and category: does some distractor stand in it to an object of that type
+    repeated = np.zeros((len(codes), len(CATEGORIES)), dtype=bool)
+    np.logical_or.at(repeated, types, present[distractor_rows].any(axis=0))
+    # the objects of a landmark's type are exactly its same-type landmarks
+    distinct = dict(zip(ids, (present[t] & ~repeated[types]).tolist()))
 
-    distractor_rows = [index[d] for d in distractors(scene, target_id)]
-    landmark_ids = landmarks(scene, target_id)
-    type_of = {o.id: o.type_name for o in scene.objects}
-    ranked = sorted((rank(scene, target_id, l) for l in landmark_ids),
-                    key=lambda r: (-r.rank, r.landmark_id))
-
-    for entry in ranked:
-        landmark = entry.landmark_id
-        same_type = [index[o] for o in landmark_ids if type_of[o] == type_of[landmark]]
-        repeats = present[distractor_rows][:, same_type]
+    for landmark, _ in _ranked_landmarks(scene, target_id):
         for cat in cfg.relation_priority:
-            if not present[index[target_id], index[landmark], cat.index]:
-                continue
-            if not repeats[:, :, cat.index].any():
-                reference = scene.object_by_id(landmark)
+            if distinct[landmark][cat.index]:
                 return ReferringExpression(target_id, landmark, cat,
-                                           render_phrase(target, reference, cat))
+                                           render_phrase(target, scene.object_by_id(landmark), cat))
     return None

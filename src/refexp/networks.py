@@ -85,19 +85,6 @@ def encode_relation(scene: Scene, target_id: int, reference_id: int,
     return features
 
 
-def rpn_probabilities(model: MlpModel, scene: Scene, target_id: int,
-                      reference_id: int) -> dict[RelationCategory, float]:
-    validate_rpn(model)
-    out = model.forward(encode_pair(scene, target_id, reference_id))
-    return {cat: float(out[cat.index]) for cat in CATEGORIES}
-
-
-def rin_confidence(model: MlpModel, scene: Scene, target_id: int, reference_id: int,
-                   category: RelationCategory) -> float:
-    validate_rin(model)
-    return float(model.forward(encode_relation(scene, target_id, reference_id, category))[0])
-
-
 class ScoredScene:
     """Both nets' outputs for every ordered object pair of one scene.
 

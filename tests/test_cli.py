@@ -6,12 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from refexp.cli import main
-from refexp.datagen import read_rin_samples, read_rpn_samples, read_scenes
+from refexp.datagen import (extract_rin_dataset, extract_rpn_dataset, read_rin_samples,
+                            read_rpn_samples, read_scenes)
 from refexp.mlp import load_model, save_model
 from refexp.scene import scene_to_json
 
@@ -76,6 +78,56 @@ class TestGeneration:
         out = tmp_path / f"{kind}.jsonl"
         assert main(["gen-data", kind, "--out", str(out), "-n", n, "--seed", "0"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def crowded_annotations():
+    """One image repeating a single right-of relationship 1,000 times, so rpn
+    extraction exceeds its default cap, and one row of 140 boxes, whose unannotated
+    pairs exceed rin extraction's."""
+    def box(k):
+        return {"x": 10 * k, "y": 40, "w": 8, "h": 20}
+    return [
+        {"image_id": 1, "width": 100, "height": 100,
+         "relationships": [{"predicate": "to the right of", "subject": box(6),
+                            "object": box(1)}] * 1000},
+        {"image_id": 2, "width": 1500, "height": 100,
+         "relationships": [{"predicate": "to the right of", "subject": box(2 * k + 1),
+                            "object": box(2 * k)} for k in range(70)]},
+    ]
+
+
+class TestExtractVg:
+    @pytest.fixture
+    def annotations(self, tmp_path):
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(crowded_annotations()))
+        return str(path)
+
+    @staticmethod
+    def extract(kind, annotations, out, *flags):
+        assert main(["extract-vg", kind, annotations, "--out", str(out), *flags]) == 0
+        samples = read_rpn_samples(str(out)) if kind == "rpn" else read_rin_samples(str(out))
+        return [(s.features.tolist(), s.label) for s in samples]
+
+    @staticmethod
+    def per_category(rows):
+        # rin rows count per (label, one-hot category)
+        return Counter(label if len(features) == 8 else (label, tuple(features[8:]))
+                       for features, label in rows)
+
+    @pytest.mark.parametrize("kind", ["rpn", "rin"])
+    def test_cap_limits_each_category(self, tmp_path, annotations, kind):
+        counts = self.per_category(self.extract(kind, annotations, tmp_path / "out.jsonl",
+                                                "--cap", "2"))
+        assert counts and max(counts.values()) == 2
+
+    @pytest.mark.parametrize("kind, extractor", [("rpn", extract_rpn_dataset),
+                                                 ("rin", extract_rin_dataset)])
+    def test_default_cap_is_the_extractors(self, tmp_path, annotations, kind, extractor):
+        got = self.extract(kind, annotations, tmp_path / "out.jsonl")
+        expected = [(s.features.tolist(), s.label) for s in extractor(annotations)]
+        assert got == expected
+        assert max(self.per_category(got).values()) > 2
 
 
 class TestTrain:

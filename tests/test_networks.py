@@ -4,11 +4,10 @@ import pytest
 from refexp.mlp import MlpModel, init_model
 from refexp.networks import (NetworkShapeError, PAIR_FEATURE_DIM, RIN_DIMS,
                              RIN_FEATURE_DIM, RPN_DIMS, ScoredScene, encode_pair,
-                             encode_relation, rin_confidence, rin_layer_specs,
-                             rpn_layer_specs, rpn_probabilities, score_scene, validate_rin,
-                             validate_rpn)
+                             encode_relation, presence_scores, rin_layer_specs,
+                             rpn_layer_specs, score_scene, validate_rin, validate_rpn)
 from refexp.pipeline import build_candidate_sets
-from refexp.scene import RelationCategory, UnknownObjectError
+from refexp.scene import CATEGORIES, RelationCategory, UnknownObjectError
 
 from helpers import make_scene
 
@@ -66,40 +65,44 @@ def test_encode_relation_appends_one_hot(pair_scene):
 
 
 class TestScoring:
+    """One pair read from the scene-wide arrays; ids 0 and 1 sit at rows 0 and 1."""
+
     def test_zero_weight_rpn_is_uniform(self, pair_scene):
         dims = RPN_DIMS
         model = MlpModel([np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])],
                          [np.zeros(o) for o in dims[1:]],
                          ["relu", "relu", "softmax"])
-        probs = rpn_probabilities(model, pair_scene, 0, 1)
-        for p in probs.values():
-            assert abs(p - 1 / 6) < 1e-12
+        probs = presence_scores(model, pair_scene)[0, 1]
+        np.testing.assert_allclose(probs, 1 / 6, rtol=0, atol=1e-12)
 
     def test_probabilities_sum_to_one(self, pair_scene):
         model = init_model(rpn_layer_specs(), 11)
-        probs = rpn_probabilities(model, pair_scene, 0, 1)
-        assert abs(sum(probs.values()) - 1.0) < 1e-9
-        assert list(probs) == sorted(RelationCategory, key=lambda c: c.index)
+        probs = presence_scores(model, pair_scene)[0, 1]
+        assert probs.shape == (len(CATEGORIES),)
+        assert abs(probs.sum() - 1.0) < 1e-9
+        assert [cat.index for cat in CATEGORIES] == list(range(len(CATEGORIES)))
 
     def test_zero_final_layer_confidence_half(self, pair_scene):
         model = init_model(rin_layer_specs(), 11)
         model.weights[-1][:] = 0.0
         model.biases[-1][:] = 0.0
-        c = rin_confidence(model, pair_scene, 0, 1, RelationCategory.LEFT)
-        assert c == 0.5
+        scored = score_scene(init_model(rpn_layer_specs(), 11), model, pair_scene)
+        assert scored.confidences[0, 1, RelationCategory.LEFT.index] == 0.5
 
     def test_confidence_in_open_interval(self, pair_scene):
         model = init_model(rin_layer_specs(), 12)
-        c = rin_confidence(model, pair_scene, 1, 0, RelationCategory.RIGHT)
-        assert 0.0 < c < 1.0
+        scored = score_scene(init_model(rpn_layer_specs(), 12), model, pair_scene)
+        assert 0.0 < scored.confidences[1, 0, RelationCategory.RIGHT.index] < 1.0
 
     def test_wrong_shape_rejected(self, pair_scene):
         rin_shaped = init_model(rin_layer_specs(), 0)
-        with pytest.raises(NetworkShapeError):
-            rpn_probabilities(rin_shaped, pair_scene, 0, 1)
         rpn_shaped = init_model(rpn_layer_specs(), 0)
         with pytest.raises(NetworkShapeError):
-            rin_confidence(rpn_shaped, pair_scene, 0, 1, RelationCategory.LEFT)
+            presence_scores(rin_shaped, pair_scene)
+        with pytest.raises(NetworkShapeError):
+            score_scene(rin_shaped, rin_shaped, pair_scene)
+        with pytest.raises(NetworkShapeError):
+            score_scene(rpn_shaped, rpn_shaped, pair_scene)
 
     def test_validators(self):
         validate_rpn(init_model(rpn_layer_specs(), 0))
@@ -196,10 +199,9 @@ class TestTrainedBehavior:
             (1, "bottle", (220, 290, 30, 50)),
             (2, "book", (150, 300, 200, 60)),
         ], width=640, height=480)
-        to_a = rpn_probabilities(rpn_model, scene, 2, 0)
-        to_b = rpn_probabilities(rpn_model, scene, 2, 1)
-        assert max(to_a, key=to_a.get) is RelationCategory.IN_FRONT
-        assert max(to_b, key=to_b.get) is RelationCategory.AT_BOTTOM
+        probabilities = presence_scores(rpn_model, scene)
+        assert CATEGORIES[probabilities[2, 0].argmax()] is RelationCategory.IN_FRONT
+        assert CATEGORIES[probabilities[2, 1].argmax()] is RelationCategory.AT_BOTTOM
 
     def test_nearer_reference_more_informative(self, rpn_model, rin_model):
         # three bottles in a row; for the rightmost target the middle one is
@@ -209,9 +211,9 @@ class TestTrainedBehavior:
             (1, "bottle", (380, 210, 50, 70)),
             (2, "bottle", (500, 200, 60, 80)),
         ], width=640, height=480)
-        near = rin_confidence(rin_model, scene, 2, 1, RelationCategory.RIGHT)
-        far = rin_confidence(rin_model, scene, 2, 0, RelationCategory.RIGHT)
-        assert near > far
+        confidences = score_scene(rpn_model, rin_model, scene).confidences
+        right = RelationCategory.RIGHT.index
+        assert confidences[2, 1, right] > confidences[2, 0, right]  # near over far
 
     def test_learnability_against_rule_oracle(self, rpn_setup):
         assert rpn_setup.test_accuracy >= 0.95
