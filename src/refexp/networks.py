@@ -8,6 +8,7 @@ normalized by the image size, so models transfer across image dimensions.
 
 from __future__ import annotations
 
+import logging
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +24,8 @@ RIN_FEATURE_DIM = PAIR_FEATURE_DIM + len(CATEGORIES)
 
 RPN_DIMS = (PAIR_FEATURE_DIM, 32, 16, len(CATEGORIES))
 RIN_DIMS = (RIN_FEATURE_DIM, 64, 16, 8, 1)
+
+logger = logging.getLogger(__name__)
 
 
 class NetworkShapeError(ValueError):
@@ -92,16 +95,37 @@ class ScoredScene:
     against reference ``ids[j]`` in ``CATEGORIES[c]``; ids are sorted and NaN marks
     an unscored entry, such as the diagonal. As a sequence it holds the scored
     relations in (target, reference, category) order, built on first use.
-    Both arrays are made read-only, because the selection stages computed from
-    them are memoized here, per presence threshold, by ``build_candidate_sets``.
+    ``pending`` is the mask of confidences not scored yet and the function that
+    scores them, in mask order; reading any of them (``confidences``, iteration,
+    ``==``, a ``where`` or ``confidences_at`` mask) scores them all. Both arrays
+    are read-only, because the selection stages computed from them are memoized
+    here, per presence threshold, by ``build_candidate_sets``.
     """
 
-    def __init__(self, ids, probabilities: np.ndarray, confidences: np.ndarray) -> None:
+    def __init__(self, ids, probabilities: np.ndarray, confidences: np.ndarray,
+                 pending: tuple | None = None) -> None:
         self.ids = tuple(ids)
         self.probabilities = probabilities
-        self.confidences = confidences
+        self._confidences = confidences
+        self._pending = pending
         probabilities.flags.writeable = confidences.flags.writeable = False
         self._selections: dict[float, tuple] = {}
+
+    def confidences_at(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """The confidences array. The pending entries are scored first if the
+        (n, n, 6) ``mask`` touches one of them, or if no mask is given."""
+        if self._pending is not None:
+            unscored, score = self._pending
+            if mask is None or (unscored & mask).any():
+                self._confidences.flags.writeable = True
+                self._confidences[unscored] = score()
+                self._confidences.flags.writeable = False
+                self._pending = None
+        return self._confidences
+
+    @property
+    def confidences(self) -> np.ndarray:
+        return self.confidences_at()
 
     @classmethod
     def from_relations(cls, relations) -> "ScoredScene":
@@ -120,7 +144,11 @@ class ScoredScene:
         ids = self.ids
         return tuple(SpatialRelation(ids[a], ids[b], CATEGORIES[k], p, q) for a, b, k, p, q in zip(
             *(axis.tolist() for axis in np.nonzero(mask)),
-            self.probabilities[mask].tolist(), self.confidences[mask].tolist()))
+            self.probabilities[mask].tolist(), self.confidences_at(mask)[mask].tolist()))
+
+    def above(self, threshold: float) -> tuple[SpatialRelation, ...]:
+        """The relations with probability strictly above ``threshold``."""
+        return self.where(self.probabilities > threshold)  # NaN compares False
 
     @cached_property
     def relations(self) -> tuple[SpatialRelation, ...]:
@@ -165,18 +193,29 @@ def presence_scores(rpn: MlpModel, scene: Scene) -> np.ndarray:
 def score_scene(rpn: MlpModel, rin: MlpModel, scene: Scene) -> ScoredScene:
     """Every ordered pair crossed with every category, scored by both nets.
 
-    One encode over the scene's boxes, then one batch through each net; indexed
+    One encode over the scene's boxes, one rpn batch, and one rin batch over each
+    pair's argmax category. The other categories are one more rin batch, run when
+    one is first read; no threshold of 0.5 or more reads one. Both batches are
+    fixed by the scene, so no confidence depends on the order of reads. Indexed
     by sorted id, so independent of the storage order of the scene's objects.
     """
     validate_rpn(rpn)
     validate_rin(rin)
     ids, pairs, pair_features = _scene_pairs(scene)
-    n_pairs, n_cat = len(pair_features), len(CATEGORIES)
-    rin_features = np.zeros((n_pairs * n_cat, RIN_FEATURE_DIM))
-    rin_features[:, :PAIR_FEATURE_DIM] = np.repeat(pair_features, n_cat, axis=0)
-    rin_features[:, PAIR_FEATURE_DIM:] = np.tile(np.eye(n_cat), (n_pairs, 1))
+    shape = (len(ids), len(ids), len(CATEGORIES))
+    one_hot = np.eye(len(CATEGORIES))
+    presence = rpn.forward_batch(pair_features)
+    top = presence.argmax(axis=1)
+    eager = one_hot[top].astype(bool)
+    logger.debug("scoring %d objects: %d rin rows in the first batch", len(ids), len(top))
+    first = np.where(eager, rin.forward_batch(np.hstack([pair_features, one_hot[top]])), np.nan)
 
-    scores = np.full((2, len(ids), len(ids), n_cat), np.nan)
-    scores[0][pairs] = rpn.forward_batch(pair_features)
-    scores[1][pairs] = rin.forward_batch(rin_features).reshape(n_pairs, n_cat)
-    return ScoredScene(ids, *scores)
+    def score_rest() -> np.ndarray:
+        rows, categories = np.nonzero(~eager)
+        logger.debug("scoring the other categories: %d rin rows", len(rows))
+        return rin.forward_batch(np.hstack([pair_features[rows], one_hot[categories]]))[:, 0]
+
+    probabilities, confidences = np.full(shape, np.nan), np.full(shape, np.nan)
+    unscored = np.zeros(shape, dtype=bool)
+    probabilities[pairs], confidences[pairs], unscored[pairs] = presence, first, ~eager
+    return ScoredScene(ids, probabilities, confidences, (unscored, score_rest))

@@ -23,7 +23,9 @@ class EmptyCandidatesError(Exception):
 
 @dataclass(frozen=True)
 class RelationSets:
-    """Intermediate sets of the selection procedure, in (target, reference, category) order."""
+    """Intermediate sets of the selection procedure, in (target, reference, category) order.
+
+    ``above_threshold`` holds NaN confidences wherever it holds no probability."""
 
     above_threshold: ScoredScene
     from_target: tuple[SpatialRelation, ...]
@@ -41,12 +43,13 @@ def _scene_stages(scored: ScoredScene, threshold: float) -> tuple:
     """The stages that depend only on the scene and the threshold: the mask of
     relations above it, those relations, and the per-(target, category) maxima."""
     above = scored.probabilities > threshold  # NaN compares False
+    confidences = np.where(above, scored.confidences_at(above), np.nan)
     # per (target, category) the most confident relation; of tied references, the lowest id
-    confidence = np.where(above, scored.confidences, -np.inf)
+    confidence = np.where(above, confidences, -np.inf)
     best = above & (confidence == confidence.max(axis=1, keepdims=True, initial=-np.inf))
     best &= best.cumsum(axis=1) == 1
     above_threshold = ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan),
-                                  scored.confidences)
+                                  confidences)
     return above, above_threshold, scored.where(best)
 
 
@@ -110,14 +113,15 @@ def describe_oracle(rpn: MlpModel, rin: MlpModel, scene: Scene, target_id: int,
                     scored: ScoredScene | None = None) -> ReferringExpression:
     """Brute-force re-derivation of describe, kept deliberately naive.
 
-    Shares only the scene scoring (``scored``) with the main path; the selection
-    logic is re-implemented with plain loops as a cross-check.
+    Shares only the scene scoring (``scored``, read through its relations above
+    the threshold) with the main path; the selection logic is re-implemented
+    with plain loops as a cross-check.
     """
     scene.object_by_id(target_id)
     scored = score_scene(rpn, rin, scene) if scored is None else scored
     threshold = cfg.presence_threshold
     held: dict[tuple, SpatialRelation] = {}
-    for rel in scored:
+    for rel in scored.above(threshold):
         if rel.probability > threshold:
             held[(rel.target_id, rel.reference_id, rel.category)] = rel
 

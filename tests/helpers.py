@@ -3,7 +3,8 @@
 import numpy as np
 
 from refexp.datagen import SceneGenSpec, generate_scenes, mirrored_duplicate_scenes
-from refexp.scene import BoundingBox, Scene, SceneObject
+from refexp.networks import ScoredScene, encode_pair, encode_relation
+from refexp.scene import CATEGORIES, BoundingBox, Scene, SceneObject
 
 
 def split_pairs(pairs, seed=0, fraction=0.1):
@@ -43,3 +44,17 @@ def mixed_corpus():
     mirrored-duplicate rows."""
     return (generate_scenes(SceneGenSpec(min_objects=2, max_objects=10, seed=31), 40)
             + mirrored_duplicate_scenes(20, seed=31))
+
+
+def full_batch_scored(rpn, rin, scene):
+    """The scene scored with every (pair, category) row in one rin batch: the
+    reference that score_scene's two rin batches stay within 2 ulp of."""
+    ids = scene.object_ids()
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    mask = ~np.eye(len(ids), dtype=bool)  # the same pairs, in the same order
+    probabilities = np.full((len(ids), len(ids), len(CATEGORIES)), np.nan)
+    confidences = np.full_like(probabilities, np.nan)
+    probabilities[mask] = rpn.forward_batch(np.stack([encode_pair(scene, a, b) for a, b in pairs]))
+    confidences[mask] = rin.forward_batch(np.stack([
+        encode_relation(scene, a, b, cat) for a, b in pairs for cat in CATEGORIES])).reshape(-1, 6)
+    return ScoredScene(ids, probabilities, confidences)

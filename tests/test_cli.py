@@ -276,6 +276,15 @@ class TestCompareAndOracle:
                      "--count", "5", "--seed", "11"])
         assert code == 0
 
+    @pytest.mark.parametrize("threshold", ["0.3", "0.7"])
+    def test_eval_oracle_off_default_threshold(self, capsys, model_files, threshold):
+        """Below 0.5 the rin rows off each pair's argmax are scored on demand."""
+        rpn_path, rin_path = model_files
+        code = main(["eval-oracle", "--rpn", rpn_path, "--rin", rin_path,
+                     "--count", "50", "--threshold", threshold])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("pipeline-oracle agreement: ")
+
     def test_eval_oracle_corpus_file(self, tmp_path, capsys, model_files):
         rpn_path, rin_path = model_files
         corpus = tmp_path / "corpus.jsonl"

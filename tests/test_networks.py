@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from refexp.networks import (NetworkShapeError, PAIR_FEATURE_DIM, RIN_DIMS,
                              RIN_FEATURE_DIM, RPN_DIMS, ScoredScene, encode_pair,
                              encode_relation, presence_scores, rin_layer_specs,
                              rpn_layer_specs, score_scene, validate_rin, validate_rpn)
-from refexp.pipeline import build_candidate_sets
-from refexp.scene import CATEGORIES, RelationCategory, UnknownObjectError
+from refexp.pipeline import EmptyCandidatesError, build_candidate_sets, describe
+from refexp.scene import (CATEGORIES, PipelineConfig, RelationCategory, UnknownObjectError,
+                          scene_from_json)
 
-from helpers import make_scene
+from helpers import crowded_scene_doc, full_batch_scored, make_scene, mixed_corpus
 
 
 @pytest.fixture
@@ -159,7 +162,8 @@ class TestScoreScene:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_arrays_equal_per_pair_rows(self, models, seed):
-        """One vectorized encode gives the rows encode_pair gives, bit for bit."""
+        """One vectorized encode gives the rows encode_pair gives, and the nets'
+        batches the outputs of the same batches of those rows, bit for bit."""
         rpn, rin = models
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
@@ -172,14 +176,20 @@ class TestScoreScene:
         order = sorted(ids)
         pairs = [(a, b) for a in order for b in order if a != b]
         probabilities = rpn.forward_batch(np.stack([encode_pair(scene, a, b) for a, b in pairs]))
-        confidences = rin.forward_batch(np.stack([encode_relation(scene, a, b, cat)
-                                                  for a, b in pairs for cat in RelationCategory]))
+        # rin's two batches: each pair's most probable category, then the rest
+        top = [CATEGORIES[k] for k in probabilities.argmax(axis=1)]
+        rows = list(enumerate(top)) + \
+            [(row, cat) for row in range(len(pairs)) for cat in RelationCategory if cat is not top[row]]
+        confidences = np.concatenate([
+            rin.forward_batch(np.stack([encode_relation(scene, *pairs[row], cat) for row, cat in part]))
+            for part in (rows[:len(pairs)], rows[len(pairs):])])
         expected_p = np.full((n, n, 6), np.nan)
         expected_c = np.full((n, n, 6), np.nan)
         for row, (a, b) in enumerate(pairs):
-            i, j = order.index(a), order.index(b)
-            expected_p[i, j] = probabilities[row]
-            expected_c[i, j] = confidences[6 * row:6 * row + 6, 0]
+            expected_p[order.index(a), order.index(b)] = probabilities[row]
+        for (row, cat), confidence in zip(rows, confidences[:, 0]):
+            a, b = pairs[row]
+            expected_c[order.index(a), order.index(b), cat.index] = confidence
 
         scored = score_scene(rpn, rin, scene)
         assert scored.ids == tuple(order)
@@ -187,6 +197,73 @@ class TestScoreScene:
         np.testing.assert_array_equal(scored.confidences, expected_c)
         first = next(iter(scored))
         assert (first.probability, first.confidence) == (expected_p[0, 1, 0], expected_c[0, 1, 0])
+
+
+class TestSplitRinBatches:
+    """rin scores each pair's most probable category eagerly, the rest on demand."""
+
+    @pytest.fixture
+    def rin_rows(self, monkeypatch, rin_model):
+        """Row counts of the rin batches run while the test runs."""
+        rows, forward_batch = [], MlpModel.forward_batch
+
+        def counting_forward(model, features):
+            if model is rin_model:
+                rows.append(len(features))
+            return forward_batch(model, features)
+
+        monkeypatch.setattr(MlpModel, "forward_batch", counting_forward)
+        return rows
+
+    @staticmethod
+    def describe_all(rpn, rin, scene, scored, threshold):
+        cfg = PipelineConfig(presence_threshold=threshold)
+        for target in scene.object_ids():
+            try:
+                describe(rpn, rin, scene, target, cfg, scored=scored)
+            except EmptyCandidatesError:
+                pass
+
+    def test_default_threshold_runs_argmax_rows_only(self, rpn_model, rin_model, rin_rows):
+        scene = scene_from_json(crowded_scene_doc(32))
+        scored = score_scene(rpn_model, rin_model, scene)
+        self.describe_all(rpn_model, rin_model, scene, scored, 0.5)
+        scored.above(0.5)
+        assert rin_rows == [32 * 31]
+
+    def test_low_threshold_scores_the_rest_once(self, rpn_model, rin_model, rin_rows):
+        scene = scene_from_json(crowded_scene_doc(32))
+        scored = score_scene(rpn_model, rin_model, scene)
+        probabilities = scored.probabilities
+        runner_up = np.sort(np.nan_to_num(probabilities), axis=2)[:, :, -2]
+        assert (runner_up > 0.2).any()  # 0.2 needs a non-argmax entry
+        self.describe_all(rpn_model, rin_model, scene, scored, 0.2)
+        self.describe_all(rpn_model, rin_model, scene, scored, 0.3)
+        assert rin_rows == [32 * 31, 5 * 32 * 31]
+        assert not np.isnan(scored.confidences[~np.isnan(probabilities)]).any()
+        list(scored)
+        assert rin_rows == [32 * 31, 5 * 32 * 31]
+
+    def test_within_a_few_ulp_of_one_full_batch(self, rpn_model, rin_model):
+        # smaller batches may take another GEMM kernel, so bits can move; on
+        # this corpus 98% of entries match and none is off by more than 3 ulp
+        for scene in mixed_corpus():
+            split = score_scene(rpn_model, rin_model, scene)
+            full = full_batch_scored(rpn_model, rin_model, scene)
+            np.testing.assert_array_equal(split.probabilities, full.probabilities)
+            scored = ~np.isnan(full.probabilities)
+            np.testing.assert_array_max_ulp(split.confidences[scored], full.confidences[scored],
+                                            maxulp=4)
+
+    def test_each_batch_logged_at_debug(self, rpn_model, rin_model, caplog):
+        scene = scene_from_json(crowded_scene_doc(5))
+        with caplog.at_level(logging.DEBUG, logger="refexp.networks"):
+            scored = score_scene(rpn_model, rin_model, scene)
+            scored.confidences
+            scored.confidences
+        assert [r.getMessage() for r in caplog.records] == [
+            "scoring 5 objects: 20 rin rows in the first batch",
+            "scoring the other categories: 100 rin rows"]
 
 
 class TestTrainedBehavior:

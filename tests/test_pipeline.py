@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refexp.krreg import krreg_describe
 from refexp.networks import score_scene
@@ -9,7 +10,7 @@ from refexp.pipeline import (EmptyCandidatesError, RelationSets, build_candidate
                              describe, describe_oracle, eliminate_ambiguous, select_relation)
 from refexp.scene import PipelineConfig, RelationCategory, SpatialRelation
 
-from helpers import make_scene, mixed_corpus, two_books_and_mouse
+from helpers import full_batch_scored, make_scene, mixed_corpus, two_books_and_mouse
 
 R = RelationCategory
 
@@ -115,6 +116,21 @@ class TestBuildCandidateSets:
                     assert got.from_target == want.from_target
                     assert got.best_per_category == want.best_per_category
                     assert got.competitors == want.competitors
+
+    def test_confidences_independent_of_read_order(self, rpn_model, rin_model):
+        """Whichever threshold is asked first, or the full array, the confidences
+        of a scene come out bit for bit the same."""
+        def read(scene, order):
+            scored = score_scene(rpn_model, rin_model, scene)
+            for threshold in order:
+                build_candidate_sets(scored, scene.object_ids()[0],
+                                     PipelineConfig(presence_threshold=threshold))
+            return scored.confidences
+
+        for scene in mixed_corpus():
+            want = read(scene, ())
+            for order in ((0.3, 0.7), (0.7, 0.3)):
+                np.testing.assert_array_equal(read(scene, order), want)
 
     def test_raising_threshold_never_adds(self):
         rng_rels = [rel(i % 3, (i + 1) % 3, list(R)[i % 6], (i % 10) / 10 + 0.05, 0.5)
@@ -254,6 +270,56 @@ class TestDescribe:
         signature = (type_of[chosen.target_id], type_of[chosen.reference_id], chosen.category)
         for comp in sets.competitors:
             assert (type_of[comp.target_id], type_of[comp.reference_id], comp.category) != signature
+
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.3, 0.5, 0.7, 0.9])
+    def test_split_batches_give_the_full_batch_phrases(self, rpn_model, rin_model, threshold):
+        cfg = PipelineConfig(presence_threshold=threshold)
+        for scene in mixed_corpus():
+            split = score_scene(rpn_model, rin_model, scene)
+            full = full_batch_scored(rpn_model, rin_model, scene)
+            for target in scene.object_ids():
+                assert outcome(lambda: describe(rpn_model, rin_model, scene, target, cfg,
+                                                scored=split)) == \
+                    outcome(lambda: describe(rpn_model, rin_model, scene, target, cfg,
+                                             scored=full))
+
+
+@st.composite
+def relabelled_scenes(draw):
+    """A scene of 2-8 boxes over at most three types, and the same scene with its
+    objects reordered, its ids mapped by an increasing function and its types
+    renamed one-to-one; with the id map."""
+    n = draw(st.integers(2, 8))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    types = draw(st.lists(st.sampled_from(["book", "cup", "mouse"]), min_size=n, max_size=n))
+    boxes = draw(st.lists(st.tuples(st.integers(0, 90), st.integers(0, 70), st.integers(1, 30),
+                                    st.integers(1, 30)), min_size=n, max_size=n))
+    new_ids = sorted(draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n, unique=True)))
+    id_map = dict(zip(sorted(ids), new_ids))
+    type_map = dict(zip(["book", "cup", "mouse"], draw(st.permutations(["lamp", "pen", "vase"]))))
+    entries = list(zip(ids, types, boxes))
+    relabelled = [(id_map[oid], type_map[name], box)
+                  for oid, name, box in draw(st.permutations(entries))]
+    return make_scene(entries), make_scene(relabelled), id_map
+
+
+@settings(max_examples=25, deadline=None)
+@given(relabelled_scenes())
+def test_describe_invariant_under_relabelling(rpn_model, rin_model, scenes):
+    """Storage order, id values and type names do not change which relation is
+    chosen, only the words and ids it is reported with."""
+    scene, relabelled, id_map = scenes
+
+    def choice(scene, target):
+        got = outcome(lambda: describe(rpn_model, rin_model, scene, target))
+        return None if got is None else (got.target_id, got.reference_id, got.category)
+
+    for target in scene.object_ids():
+        want = choice(scene, target)
+        if want is not None:
+            want = (id_map[want[0]], id_map[want[1]], want[2])
+        assert choice(relabelled, id_map[target]) == want
 
 
 class TestDescribeOracle:

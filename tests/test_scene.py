@@ -1,7 +1,9 @@
 import json
+import math
 import pickle
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from refexp.scene import (CATEGORIES, BoundingBox, PipelineConfig, RelationCategory, Scene,
                           SceneFormatError, SceneObject, UnknownObjectError,
@@ -208,3 +210,40 @@ def test_clamp_box_reports_change():
     assert changed and box.x == 0 and box.w == 5
     _, unchanged = clamp_box(1, 1, 5, 5, 100, 100)
     assert unchanged is False
+
+
+@st.composite
+def scene_docs(draw, min_objects=0):
+    """Scene documents whose boxes lie inside the image, so parsing clamps nothing."""
+    width, height = (draw(st.floats(1.0, 4096.0)) for _ in range(2))
+    n = draw(st.integers(min_objects, 6))
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    objects = []
+    for oid in ids:
+        x = draw(st.floats(0.0, width, exclude_max=True))
+        y = draw(st.floats(0.0, height, exclude_max=True))
+        w = draw(st.floats(0.0, width - x, exclude_min=True))
+        h = draw(st.floats(0.0, height - y, exclude_min=True))
+        assume(x < x + w <= width and y < y + h <= height)  # a positive float area
+        name = " ".join(draw(st.lists(st.text("abcxyz", min_size=1, max_size=5),
+                                      min_size=1, max_size=2)))
+        objects.append({"id": oid, "type": name, "box": [x, y, w, h]})
+    return {"image_width": width, "image_height": height, "objects": objects}
+
+
+# generation time is the machine's, not the property's
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(scene_docs())
+def test_json_round_trip_property(doc):
+    scene = scene_from_json(doc)
+    assert scene_to_json(scene) == doc
+    assert scene_from_json(json.loads(json.dumps(scene_to_json(scene)))) == scene
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(scene_docs(min_objects=1), st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_box_number_rejected_property(doc, data, value):
+    entry = data.draw(st.sampled_from(doc["objects"]))
+    entry["box"][data.draw(st.integers(0, 3))] = value
+    with pytest.raises(SceneFormatError, match="finite"):
+        scene_from_json(doc)
