@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import encode_pair, encode_relation
+from .networks import PAIR_FEATURE_DIM, RIN_FEATURE_DIM, encode_pair, encode_relation
 # rule_holds and rule_margins are not called here; perfbench/tracing.py patches them on this module
 from .rules import rule_holds, rule_margins, rule_table  # noqa: F401
 from .scene import (CATEGORIES, BoundingBox, RelationCategory, Scene, SceneFormatError,
@@ -48,7 +48,6 @@ DEFAULT_TYPE_POOL = ("book", "cup", "mouse", "bottle", "plate", "bowl",
 class SceneGenSpec:
     """Knobs for the seeded synthetic scene generator."""
 
-    object_type_pool: tuple[str, ...] = DEFAULT_TYPE_POOL
     min_objects: int = 3
     max_objects: int = 7
     duplicate_type_probability: float = 0.5
@@ -57,11 +56,11 @@ class SceneGenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "object_type_pool", tuple(self.object_type_pool))
         if self.min_objects < 2 or self.max_objects < self.min_objects:
             raise ValueError("need min_objects >= 2 and max_objects >= min_objects")
-        if len(self.object_type_pool) < self.max_objects:
-            raise ValueError("object_type_pool must hold at least max_objects distinct types")
+        if self.max_objects > len(DEFAULT_TYPE_POOL):
+            raise ValueError(f"max_objects must not exceed the {len(DEFAULT_TYPE_POOL)} types "
+                             "of the type pool")
         if not (0.0 <= self.duplicate_type_probability <= 1.0):
             raise ValueError("duplicate_type_probability must lie in [0, 1]")
         if self.image_width <= 0 or self.image_height <= 0:
@@ -81,7 +80,7 @@ def _uniforms(rng: np.random.Generator, count: int) -> Callable[[float, float], 
 def _cluttered_boxes(spec: SceneGenSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One cluttered scene's (n, 4) pixel boxes (x, y, w, h) and type-pool indices."""
     n = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-    types = rng.choice(len(spec.object_type_pool), size=n, replace=False)
+    types = rng.choice(len(DEFAULT_TYPE_POOL), size=n, replace=False)
     if rng.random() < spec.duplicate_type_probability:
         # the ambiguity driver: force at least one repeated type
         i, j = rng.choice(n, size=2, replace=False)
@@ -99,7 +98,7 @@ def _cluttered_boxes(spec: SceneGenSpec, rng: np.random.Generator) -> tuple[np.n
 def _random_scene(spec: SceneGenSpec, rng: np.random.Generator) -> Scene:
     boxes, types = _cluttered_boxes(spec, rng)
     return Scene(spec.image_width, spec.image_height, tuple(
-        SceneObject(oid, str(spec.object_type_pool[t]), BoundingBox(*box))
+        SceneObject(oid, DEFAULT_TYPE_POOL[t], BoundingBox(*box))
         for oid, (t, box) in enumerate(zip(types.tolist(), boxes.tolist()))))
 
 
@@ -265,10 +264,8 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     raise RuntimeError("scene budget exhausted before the dataset was balanced")
 
 
-def mirrored_duplicate_scenes(count: int, seed: int = 0, image_width: float = 640.0,
-                              image_height: float = 480.0,
-                              type_pool: tuple[str, ...] = DEFAULT_TYPE_POOL) -> list[Scene]:
-    """Ambiguous evaluation scenes built around a mirrored duplicate pair.
+def mirrored_duplicate_scenes(count: int, seed: int = 0) -> list[Scene]:
+    """Ambiguous 640 x 480 evaluation scenes built around a mirrored duplicate pair.
 
     Each scene is a single row of four boxes with equal sizes and a shared y,
     so only the left/right rules can fire. Two objects share a type (ids 0 and
@@ -277,17 +274,15 @@ def mirrored_duplicate_scenes(count: int, seed: int = 0, image_width: float = 64
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if len(type_pool) < 2:
-        raise ValueError("type_pool must hold at least 2 types")
     rng = np.random.default_rng(seed)
     scenes = []
     for _ in range(count):
-        duplicate_type, landmark_type = (str(t) for t in
-                                         rng.choice(np.asarray(type_pool), size=2, replace=False))
+        duplicate_type, landmark_type = (
+            str(t) for t in rng.choice(np.asarray(DEFAULT_TYPE_POOL), size=2, replace=False))
         # box sizes and gaps sized so every in-row relation has a wide margin
         w = rng.uniform(50.0, 80.0)
         h = rng.uniform(50.0, 80.0)
-        y = rng.uniform(60.0, image_height - 60.0 - h)
+        y = rng.uniform(60.0, 480.0 - 60.0 - h)
         near_gap_left = rng.uniform(22.0, 38.0)
         near_gap_right = rng.uniform(22.0, 38.0)
         far_gap = rng.uniform(140.0, 190.0)
@@ -297,7 +292,7 @@ def mirrored_duplicate_scenes(count: int, seed: int = 0, image_width: float = 64
               x0 + 2 * w + near_gap_left + far_gap,
               x0 + 3 * w + near_gap_left + far_gap + near_gap_right]
         types = (duplicate_type, landmark_type, duplicate_type, landmark_type)
-        scenes.append(Scene(image_width, image_height,
+        scenes.append(Scene(640.0, 480.0,
                             tuple(SceneObject(i, types[i], BoundingBox(xs[i], y, w, h))
                                   for i in range(4))))
     return scenes
@@ -564,7 +559,6 @@ def _read_features(doc: object, lineno: int, dim: int) -> np.ndarray:
 
 
 def read_rpn_samples(path: str) -> list[RpnSample]:
-    from .networks import PAIR_FEATURE_DIM
     samples = []
     for lineno, doc in _read_jsonl(path):
         features = _read_features(doc, lineno, PAIR_FEATURE_DIM)
@@ -577,7 +571,6 @@ def read_rpn_samples(path: str) -> list[RpnSample]:
 
 
 def read_rin_samples(path: str) -> list[RinSample]:
-    from .networks import RIN_FEATURE_DIM
     samples = []
     for lineno, doc in _read_jsonl(path):
         features = _read_features(doc, lineno, RIN_FEATURE_DIM)

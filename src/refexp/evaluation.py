@@ -163,16 +163,11 @@ def compare_corpus(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
             krreg_verdict = None if theirs is None else ambiguity_oracle(scene, theirs)
             _count(report.ours, ours_verdict)
             _count(report.krreg, krreg_verdict)
-            if ours is None and theirs is None:
-                agree = True
-            elif ours is None or theirs is None:
-                agree = False
-            else:
-                agree = ours.phrase == theirs.phrase
-            report.records.append(CaseRecord(
-                scene_index, target_id,
-                None if ours is None else ours.phrase, ours_verdict,
-                None if theirs is None else theirs.phrase, krreg_verdict, agree))
+            ours_phrase = None if ours is None else ours.phrase
+            krreg_phrase = None if theirs is None else theirs.phrase
+            report.records.append(CaseRecord(scene_index, target_id, ours_phrase, ours_verdict,
+                                             krreg_phrase, krreg_verdict,
+                                             ours_phrase == krreg_phrase))
     return report
 
 

@@ -19,9 +19,13 @@ import numpy as np
 from .mlp import MlpModel
 # encode_pair is not called here; perfbench/tracing.py patches refexp.krreg.encode_pair
 from .networks import ScoredScene, encode_pair, presence_scores, validate_rpn  # noqa: F401
-from .scene import CATEGORIES, PipelineConfig, ReferringExpression, Scene, render_phrase
+from .scene import (CATEGORIES, PipelineConfig, ReferringExpression, RelationCategory, Scene,
+                    render_phrase)
 
 DISTANCE_FLOOR = 1e-6
+# The order in which a landmark's present relations are tried.
+RELATION_PRIORITY = (RelationCategory.BEHIND, RelationCategory.IN_FRONT, RelationCategory.ON_TOP,
+                     RelationCategory.AT_BOTTOM, RelationCategory.LEFT, RelationCategory.RIGHT)
 
 
 def _ranked_landmarks(scene: Scene, target_id: int) -> list[tuple[int, float]]:
@@ -74,7 +78,7 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
     distinct = dict(zip(ids, (present[t] & ~repeated[types]).tolist()))
 
     for landmark, _ in _ranked_landmarks(scene, target_id):
-        for cat in cfg.relation_priority:
+        for cat in RELATION_PRIORITY:
             if distinct[landmark][cat.index]:
                 return ReferringExpression(target_id, landmark, cat,
                                            render_phrase(target, scene.object_by_id(landmark), cat))

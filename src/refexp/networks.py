@@ -9,7 +9,6 @@ normalized by the image size, so models transfer across image dimensions.
 from __future__ import annotations
 
 import logging
-from functools import cached_property
 
 import numpy as np
 
@@ -93,13 +92,13 @@ class ScoredScene:
 
     ``probabilities[i, j, c]`` and ``confidences[i, j, c]`` score target ``ids[i]``
     against reference ``ids[j]`` in ``CATEGORIES[c]``; ids are sorted and NaN marks
-    an unscored entry, such as the diagonal. As a sequence it holds the scored
-    relations in (target, reference, category) order, built on first use.
+    an unscored entry, such as the diagonal. ``len`` counts the scored entries;
+    ``where`` and ``above`` list relations in (target, reference, category) order.
     ``pending`` is the mask of confidences not scored yet and the function that
-    scores them, in mask order; reading any of them (``confidences``, iteration,
-    ``==``, a ``where`` or ``confidences_at`` mask) scores them all. Both arrays
-    are read-only, because the selection stages computed from them are memoized
-    here, per presence threshold, by ``build_candidate_sets``.
+    scores them, in mask order; reading any of them (``confidences``, a ``where``
+    or ``confidences_at`` mask) scores them all. Both arrays are read-only,
+    because the selection stages computed from them are memoized here, per
+    presence threshold, by ``build_candidate_sets``.
     """
 
     def __init__(self, ids, probabilities: np.ndarray, confidences: np.ndarray,
@@ -127,18 +126,6 @@ class ScoredScene:
     def confidences(self) -> np.ndarray:
         return self.confidences_at()
 
-    @classmethod
-    def from_relations(cls, relations) -> "ScoredScene":
-        """Arrays holding the given relations; a later duplicate replaces an earlier one."""
-        relations = list(relations)
-        ids = sorted({r.target_id for r in relations} | {r.reference_id for r in relations})
-        index = {oid: k for k, oid in enumerate(ids)}
-        scores = np.full((2, len(ids), len(ids), len(CATEGORIES)), np.nan)
-        for r in relations:
-            scores[:, index[r.target_id], index[r.reference_id], r.category.index] = \
-                r.probability, r.confidence
-        return cls(ids, *scores)
-
     def where(self, mask: np.ndarray) -> tuple[SpatialRelation, ...]:
         """The relations at the true entries of an (n, n, 6) mask, in index order."""
         ids = self.ids
@@ -150,20 +137,8 @@ class ScoredScene:
         """The relations with probability strictly above ``threshold``."""
         return self.where(self.probabilities > threshold)  # NaN compares False
 
-    @cached_property
-    def relations(self) -> tuple[SpatialRelation, ...]:
-        return self.where(~np.isnan(self.probabilities))
-
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.probabilities)))
-
-    def __iter__(self):
-        return iter(self.relations)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ScoredScene, tuple, list)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
 
 
 def _scene_pairs(scene: Scene) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -53,15 +53,14 @@ def _scene_stages(scored: ScoredScene, threshold: float) -> tuple:
     return above, above_threshold, scored.where(best)
 
 
-def build_candidate_sets(relations, target_id: int, cfg: PipelineConfig = PipelineConfig()) -> RelationSets:
-    """Threshold the scored relations and reduce them to per-category maxima.
+def build_candidate_sets(scored: ScoredScene, target_id: int,
+                         cfg: PipelineConfig = PipelineConfig()) -> RelationSets:
+    """Threshold the scored scene and reduce it to per-category maxima.
 
-    ``relations`` is a ScoredScene or any iterable of relations. The
-    probability test is strictly greater-than, so a relation sitting exactly
-    at the threshold is excluded. A ScoredScene computes its target-independent
-    stages once per threshold and shares them across its targets.
+    The probability test is strictly greater-than, so a relation sitting exactly
+    at the threshold is excluded. The target-independent stages are computed
+    once per threshold and shared across the scene's targets.
     """
-    scored = relations if isinstance(relations, ScoredScene) else ScoredScene.from_relations(relations)
     threshold = cfg.presence_threshold
     if threshold not in scored._selections:
         scored._selections[threshold] = _scene_stages(scored, threshold)

@@ -158,29 +158,15 @@ class ReferringExpression:
         }
 
 
-DEFAULT_RELATION_PRIORITY: tuple[RelationCategory, ...] = (
-    RelationCategory.BEHIND,
-    RelationCategory.IN_FRONT,
-    RelationCategory.ON_TOP,
-    RelationCategory.AT_BOTTOM,
-    RelationCategory.LEFT,
-    RelationCategory.RIGHT,
-)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs shared by the selection pipeline and the baseline."""
 
     presence_threshold: float = 0.5
-    relation_priority: tuple[RelationCategory, ...] = DEFAULT_RELATION_PRIORITY
 
     def __post_init__(self) -> None:
         if not (0.0 < self.presence_threshold < 1.0):
             raise ValueError("presence_threshold must lie strictly between 0 and 1")
-        object.__setattr__(self, "relation_priority", tuple(self.relation_priority))
-        if sorted(self.relation_priority, key=lambda c: c.index) != list(CATEGORIES):
-            raise ValueError("relation_priority must be a permutation of all six categories")
 
 
 def render_phrase(target: SceneObject, reference: SceneObject, category: RelationCategory) -> str:
@@ -214,10 +200,14 @@ def clamp_box(x: float, y: float, w: float, h: float,
               image_width: float, image_height: float) -> tuple[BoundingBox, bool]:
     """Clamp a raw box into the image. Returns (box, was_clamped).
 
-    A box with no positive-area intersection with the image is rejected.
+    A box with no positive-area intersection with the image is rejected, and so
+    is one with a side that vanishes when added to its corner.
     """
     if w <= 0 or h <= 0:
         raise SceneFormatError(f"box sides must be positive, got w={w}, h={h}")
+    if x + w == x or y + h == y:
+        raise SceneFormatError(f"box ({x}, {y}, {w}, {h}) has a side below float resolution "
+                               f"at its corner: {'x + w == x' if x + w == x else 'y + h == y'}")
     left = max(x, 0.0)
     top = max(y, 0.0)
     right = min(x + w, float(image_width))

@@ -58,3 +58,27 @@ def full_batch_scored(rpn, rin, scene):
     confidences[mask] = rin.forward_batch(np.stack([
         encode_relation(scene, a, b, cat) for a, b in pairs for cat in CATEGORIES])).reshape(-1, 6)
     return ScoredScene(ids, probabilities, confidences)
+
+
+def scored_from_relations(relations):
+    """A ScoredScene holding exactly the given relations, NaN elsewhere, over the
+    ids they name; a later duplicate replaces an earlier one."""
+    relations = list(relations)
+    ids = sorted({r.target_id for r in relations} | {r.reference_id for r in relations})
+    index = {oid: k for k, oid in enumerate(ids)}
+    scores = np.full((2, len(ids), len(ids), len(CATEGORIES)), np.nan)
+    for r in relations:
+        scores[:, index[r.target_id], index[r.reference_id], r.category.index] = \
+            r.probability, r.confidence
+    return ScoredScene(ids, *scores)
+
+
+def held_relations(scored):
+    """Every relation a ScoredScene holds, in (target, reference, category) order."""
+    return scored.where(~np.isnan(scored.probabilities))
+
+
+def set_fields(sets):
+    """A RelationSets as its four stages' relation tuples, to compare field by field."""
+    return (held_relations(sets.above_threshold), sets.from_target, sets.best_per_category,
+            sets.competitors)

@@ -21,6 +21,8 @@ from refexp.pipeline import EmptyCandidatesError, build_candidate_sets, describe
 from refexp.rules import rule_relations
 from refexp.scene import (BoundingBox, PipelineConfig, RelationCategory, SpatialRelation)
 
+from helpers import held_relations, scored_from_relations
+
 R = RelationCategory
 
 
@@ -127,17 +129,17 @@ def test_criterion_04_pipeline_oracle_equivalence(capsys, rpn_model, rin_model):
 
 
 def test_criterion_05_threshold_semantics(capsys, rpn_model, rin_model):
-    boundary = SpatialRelation(0, 1, R.RIGHT, 0.5, 0.9)
-    at_default = build_candidate_sets([boundary], 0)
-    exact_excluded = at_default.above_threshold == ()
+    boundary = scored_from_relations([SpatialRelation(0, 1, R.RIGHT, 0.5, 0.9)])
+    at_default = build_candidate_sets(boundary, 0)
+    exact_excluded = held_relations(at_default.above_threshold) == ()
 
     scene = generate_scenes(SceneGenSpec(seed=42), 1)[0]
-    relations = score_scene(rpn_model, rin_model, scene)
+    scored = score_scene(rpn_model, rin_model, scene)
     previous = None
     monotone = True
     for t in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
         cfg = PipelineConfig(presence_threshold=t)
-        current = set(build_candidate_sets(relations, 0, cfg).above_threshold)
+        current = set(held_relations(build_candidate_sets(scored, 0, cfg).above_threshold))
         if previous is not None and not current <= previous:
             monotone = False
         previous = current

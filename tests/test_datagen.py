@@ -6,8 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from refexp.datagen import (DatasetFormatError, SceneGenSpec, extract_rin_dataset,
-                            extract_rpn_dataset, generate_scenes, load_synonym_map,
+from refexp.datagen import (DEFAULT_TYPE_POOL, DatasetFormatError, SceneGenSpec,
+                            extract_rin_dataset, extract_rpn_dataset, generate_scenes,
+                            load_synonym_map,
                             mirrored_duplicate_scenes, normalize_predicate,
                             read_rin_samples, read_rpn_samples, read_scenes,
                             read_vg_annotations, rin_training_pairs, rpn_training_pairs,
@@ -26,7 +27,7 @@ class TestSceneGenSpec:
 
     def test_pool_must_cover_max(self):
         with pytest.raises(ValueError):
-            SceneGenSpec(object_type_pool=("a", "b"), min_objects=2, max_objects=3)
+            SceneGenSpec(max_objects=len(DEFAULT_TYPE_POOL) + 1)
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
@@ -43,6 +44,7 @@ class TestGenerateScenes:
             for obj in scene.objects:
                 assert obj.box.x >= 0 and obj.box.y >= 0
                 assert obj.box.x + obj.box.w <= scene.image_width
+                assert obj.box.y + obj.box.h <= scene.image_height
                 assert obj.box.y + obj.box.h <= scene.image_height
 
     def test_sequential_ids(self):
@@ -107,8 +109,10 @@ class TestMirroredScenes:
         scenes = mirrored_duplicate_scenes(8, seed=7)
         assert len(scenes) == 8
         for scene in scenes:
+            assert (scene.image_width, scene.image_height) == (640.0, 480.0)
             assert len(scene.objects) == 4
             names = [o.type_name for o in scene.objects]
+            assert set(names) <= set(DEFAULT_TYPE_POOL)
             assert names[0] == names[2] and names[1] == names[3]
             assert names[0] != names[1]
             tops = {o.box.y for o in scene.objects}
@@ -116,6 +120,7 @@ class TestMirroredScenes:
             assert len(tops) == 1 and len(heights) == 1
             for obj in scene.objects:
                 assert obj.box.x + obj.box.w <= scene.image_width
+                assert obj.box.y + obj.box.h <= scene.image_height
 
     def test_duplicates_only_separated_horizontally(self):
         scene = mirrored_duplicate_scenes(1, seed=0)[0]

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from refexp import datagen
-from refexp.datagen import (DEFAULT_PREDICATE_SYNONYMS, RIN_FAR_DISTANCE, RIN_NEAR_DISTANCE,
-                            RPN_MARGIN_GAP, RinSample, RpnSample, SceneGenSpec,
+from refexp.datagen import (DEFAULT_PREDICATE_SYNONYMS, DEFAULT_TYPE_POOL, RIN_FAR_DISTANCE,
+                            RIN_NEAR_DISTANCE, RPN_MARGIN_GAP, RinSample, RpnSample, SceneGenSpec,
                             extract_rin_dataset, generate_scenes, normalize_predicate,
                             read_vg_annotations, synth_rin_dataset, synth_rpn_dataset)
 from refexp.networks import encode_pair, encode_relation
@@ -24,7 +24,7 @@ from refexp.scene import CATEGORIES, BoundingBox, Scene, SceneObject
 
 def reference_random_scene(spec, rng):
     n = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-    names = [str(t) for t in rng.choice(np.asarray(spec.object_type_pool), size=n, replace=False)]
+    names = [str(t) for t in rng.choice(np.asarray(DEFAULT_TYPE_POOL), size=n, replace=False)]
     if rng.random() < spec.duplicate_type_probability:
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
         names[j] = names[i]

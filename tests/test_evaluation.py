@@ -127,6 +127,13 @@ class TestCompareCorpus:
         assert silent
         assert all(not r.agree for r in silent if r.ours_phrase is not None)
 
+    def test_both_silent_counts_as_agreement(self, rpn_model, rin_model):
+        # coincident twins: every candidate is mirrored, and no landmark exists
+        scene = make_scene([(0, "cup", (40, 40, 20, 20)), (1, "cup", (40, 40, 20, 20))])
+        report = compare_corpus(rpn_model, rin_model, [scene])
+        assert [(r.ours_phrase, r.krreg_phrase, r.agree) for r in report.records] == \
+            [(None, None, True)] * 2
+
 
 @pytest.mark.parametrize("run", [compare_corpus, pipeline_oracle_check])
 def test_each_scene_scored_once(monkeypatch, rpn_model, rin_model, run):

@@ -10,7 +10,8 @@ from refexp.pipeline import (EmptyCandidatesError, RelationSets, build_candidate
                              describe, describe_oracle, eliminate_ambiguous, select_relation)
 from refexp.scene import PipelineConfig, RelationCategory, SpatialRelation
 
-from helpers import full_batch_scored, make_scene, mixed_corpus, two_books_and_mouse
+from helpers import (full_batch_scored, held_relations, make_scene, mixed_corpus,
+                     scored_from_relations, set_fields, two_books_and_mouse)
 
 R = RelationCategory
 
@@ -34,7 +35,8 @@ def loop_candidate_sets(relations, target_id, cfg=PipelineConfig()):
         if held is None or preference(r) > preference(held):
             best[(r.target_id, r.category)] = r
     best_per_category = tuple(sorted(best.values(), key=key))
-    return RelationSets(above, tuple(r for r in above if r.target_id == target_id),
+    return RelationSets(scored_from_relations(above),
+                        tuple(r for r in above if r.target_id == target_id),
                         best_per_category,
                         tuple(r for r in best_per_category if r.target_id != target_id))
 
@@ -48,33 +50,30 @@ def outcome(call):
 
 class TestBuildCandidateSets:
     def test_probability_exactly_at_threshold_excluded(self):
-        sets = build_candidate_sets([rel(0, 1, R.RIGHT, 0.5, 0.9)], 0)
-        assert sets.above_threshold == ()
+        sets = build_candidate_sets(scored_from_relations([rel(0, 1, R.RIGHT, 0.5, 0.9)]), 0)
+        assert set_fields(sets) == ((), (), (), ())
 
     def test_just_above_threshold_included(self):
         kept = rel(0, 1, R.RIGHT, 0.5000001, 0.9)
-        sets = build_candidate_sets([kept], 0)
-        assert sets.above_threshold == (kept,)
-        assert sets.from_target == (kept,)
-        assert sets.best_per_category == (kept,)
-        assert sets.competitors == ()
+        sets = build_candidate_sets(scored_from_relations([kept]), 0)
+        assert set_fields(sets) == ((kept,), (kept,), (kept,), ())
 
     def test_argmax_keeps_highest_confidence(self):
         low = rel(0, 1, R.RIGHT, 0.9, 0.3)
         high = rel(0, 2, R.RIGHT, 0.9, 0.8)
-        sets = build_candidate_sets([low, high], 0)
+        sets = build_candidate_sets(scored_from_relations([low, high]), 0)
         assert sets.best_per_category == (high,)
 
     def test_argmax_tie_prefers_lowest_reference(self):
         a = rel(0, 2, R.RIGHT, 0.9, 0.7)
         b = rel(0, 1, R.RIGHT, 0.9, 0.7)
-        sets = build_candidate_sets([a, b], 0)
+        sets = build_candidate_sets(scored_from_relations([a, b]), 0)
         assert sets.best_per_category == (b,)
 
     def test_per_object_per_category_maxima(self):
         rels = [rel(0, 1, R.RIGHT, 0.9, 0.6), rel(0, 1, R.BEHIND, 0.8, 0.5),
                 rel(1, 0, R.LEFT, 0.9, 0.4)]
-        sets = build_candidate_sets(rels, 0)
+        sets = build_candidate_sets(scored_from_relations(rels), 0)
         assert len(sets.best_per_category) == 3
         assert sets.competitors == (rels[2],)
 
@@ -86,8 +85,10 @@ class TestBuildCandidateSets:
         rels = [rel(a, b, cat, float(rng.uniform(0.3, 1.0)), float(rng.choice([0.25, 0.5, 0.75])))
                 for a in ids for b in ids if a != b for cat in R if rng.random() < 0.6]
         rng.shuffle(rels)
+        scored = scored_from_relations(rels)
         for target in ids + [999]:
-            assert build_candidate_sets(rels, target) == loop_candidate_sets(rels, target)
+            assert set_fields(build_candidate_sets(scored, target)) == \
+                set_fields(loop_candidate_sets(rels, target))
 
     def test_matches_loop_reference_on_scored_scenes(self, rpn_model, rin_model):
         for scene in mixed_corpus():
@@ -95,8 +96,8 @@ class TestBuildCandidateSets:
             for threshold in (0.3, 0.5):
                 cfg = PipelineConfig(presence_threshold=threshold)
                 for target in scene.object_ids():
-                    assert build_candidate_sets(scored, target, cfg) == \
-                        loop_candidate_sets(list(scored), target, cfg)
+                    assert set_fields(build_candidate_sets(scored, target, cfg)) == \
+                        set_fields(loop_candidate_sets(held_relations(scored), target, cfg))
 
     def test_shared_scored_scene_matches_fresh_scoring(self, rpn_model, rin_model):
         """Stages memoized on one ScoredScene, reused across targets with the
@@ -133,11 +134,12 @@ class TestBuildCandidateSets:
                 np.testing.assert_array_equal(read(scene, order), want)
 
     def test_raising_threshold_never_adds(self):
-        rng_rels = [rel(i % 3, (i + 1) % 3, list(R)[i % 6], (i % 10) / 10 + 0.05, 0.5)
-                    for i in range(30)]
+        scored = scored_from_relations(
+            rel(i % 3, (i + 1) % 3, list(R)[i % 6], (i % 10) / 10 + 0.05, 0.5) for i in range(30))
         previous = None
         for t in [0.1, 0.3, 0.5, 0.7, 0.9]:
-            current = set(build_candidate_sets(rng_rels, 0, PipelineConfig(presence_threshold=t)).above_threshold)
+            sets = build_candidate_sets(scored, 0, PipelineConfig(presence_threshold=t))
+            current = set(held_relations(sets.above_threshold))
             if previous is not None:
                 assert current <= previous
             previous = current
@@ -153,7 +155,7 @@ class TestEliminateAmbiguous:
         # both books sit right of the mouse; the signature collides
         mine = rel(1, 2, R.RIGHT, 0.9, 0.8)
         twin = rel(0, 2, R.RIGHT, 0.9, 0.7)
-        sets = build_candidate_sets([mine, twin], 1)
+        sets = build_candidate_sets(scored_from_relations([mine, twin]), 1)
         assert eliminate_ambiguous(sets, self.scene()) == ()
 
     def test_unique_types_untouched(self):
@@ -162,13 +164,13 @@ class TestEliminateAmbiguous:
                             (2, "mouse", (20, 40, 8, 8))])
         mine = rel(1, 2, R.RIGHT, 0.9, 0.8)
         other = rel(0, 2, R.LEFT, 0.9, 0.7)
-        sets = build_candidate_sets([mine, other], 1)
+        sets = build_candidate_sets(scored_from_relations([mine, other]), 1)
         assert eliminate_ambiguous(sets, scene) == (mine,)
 
     def test_same_types_different_category_kept(self):
         mine = rel(1, 2, R.RIGHT, 0.9, 0.8)
         twin = rel(0, 2, R.LEFT, 0.9, 0.7)
-        sets = build_candidate_sets([mine, twin], 1)
+        sets = build_candidate_sets(scored_from_relations([mine, twin]), 1)
         assert eliminate_ambiguous(sets, self.scene()) == (mine,)
 
     def test_no_cascading_removals(self):
@@ -176,7 +178,7 @@ class TestEliminateAmbiguous:
         # still judges against the original competitor set
         mine = rel(1, 2, R.RIGHT, 0.9, 0.9)
         twin = rel(0, 2, R.RIGHT, 0.9, 0.1)
-        sets = build_candidate_sets([mine, twin], 1)
+        sets = build_candidate_sets(scored_from_relations([mine, twin]), 1)
         assert eliminate_ambiguous(sets, self.scene()) == ()
 
 
@@ -244,7 +246,7 @@ class TestDescribe:
         fresh call gives, and the one the loop stages give."""
         for scene in mixed_corpus():
             scored = score_scene(rpn_model, rin_model, scene)
-            relations = list(scored)
+            relations = held_relations(scored)
             for target in scene.object_ids():
                 shared = outcome(lambda: describe(rpn_model, rin_model, scene, target,
                                                   scored=scored))

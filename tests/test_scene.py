@@ -114,14 +114,9 @@ class TestPipelineConfig:
             with pytest.raises(ValueError):
                 PipelineConfig(presence_threshold=bad)
 
-    def test_priority_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(relation_priority=(RelationCategory.LEFT,) * 6)
-
     def test_defaults(self):
         cfg = PipelineConfig()
         assert cfg.presence_threshold == 0.5
-        assert len(cfg.relation_priority) == 6
 
 
 class TestSceneJson:
@@ -168,6 +163,13 @@ class TestSceneJson:
         doc = json.loads(json.dumps(self.DOC))
         doc["objects"][0]["box"] = [200, 200, 5, 5]
         with pytest.raises(SceneFormatError, match="objects\\[0\\]"):
+            scene_from_json(doc)
+
+    def test_side_below_float_resolution_named(self):
+        # inside the 1 x 2 image, but 1.0 + 5e-324 == 1.0: the box has no height
+        doc = {"image_width": 1.0, "image_height": 2.0,
+               "objects": [{"id": 0, "type": "a", "box": [0.0, 1.0, 1.0, 5e-324]}]}
+        with pytest.raises(SceneFormatError, match=r"objects\[0\]: .*float resolution.*y \+ h == y"):
             scene_from_json(doc)
 
     def test_bool_is_not_a_number(self):
