@@ -171,10 +171,6 @@ def _archetype_pair_scene(spec: SceneGenSpec, rng: np.random.Generator,
                   SceneObject(1, "object", BoundingBox(*second))))
 
 
-def _box_rows(scene: Scene) -> list[tuple[float, float, float, float]]:
-    return [(o.box.x, o.box.y, o.box.w, o.box.h) for o in scene.objects]
-
-
 def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
     """Rule-labeled pair samples, balanced across the six categories.
 
@@ -501,7 +497,7 @@ def extract_rin_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
         for subject, reference, cat in sorted(annotated, key=lambda t: (t[0], t[1], t[2].index)):
             informative[cat].append(
                 RinSample(encode_relation(scene, subject, reference, cat), True))
-        pixels = np.array(_box_rows(scene))
+        pixels = np.array([(b.x, b.y, b.w, b.h) for b in boxes])
         holds = np.nonzero(~np.isnan(rule_table(pixels[:, None], pixels[None, :], width, height)))
         for subject, reference, c in zip(*(axis.tolist() for axis in holds)):
             if (subject, reference, CATEGORIES[c]) not in annotated:

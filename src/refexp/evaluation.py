@@ -140,6 +140,13 @@ def _count(counts: MethodCounts, verdict: str | None) -> None:
         counts.ambiguous += 1
 
 
+def _score(rpn: MlpModel, rin: MlpModel, scene: Scene, scene_index: int):
+    """The scene's scoring, None for an empty scene, which has no targets."""
+    if len(scene.objects) == 1:
+        raise ValueError(f"scene {scene_index} has 1 object; a scene needs 0 or at least 2")
+    return pipeline.score_scene(rpn, rin, scene) if scene.objects else None
+
+
 def compare_corpus(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
                    cfg: PipelineConfig = PipelineConfig()) -> EvalReport:
     """Run both methods on every (scene, target) case and grade each expression.
@@ -152,7 +159,7 @@ def compare_corpus(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
         raise ValueError("corpus is empty")
     report = EvalReport()
     for scene_index, scene in enumerate(scenes):
-        scored = pipeline.score_scene(rpn, rin, scene) if scene.objects else None
+        scored = _score(rpn, rin, scene, scene_index)
         for target_id in scene.object_ids():
             try:
                 ours = describe(rpn, rin, scene, target_id, cfg, scored=scored)
@@ -180,8 +187,8 @@ def pipeline_oracle_check(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
     """
     matches = 0
     total = 0
-    for scene in scenes:
-        scored = pipeline.score_scene(rpn, rin, scene) if scene.objects else None
+    for scene_index, scene in enumerate(scenes):
+        scored = _score(rpn, rin, scene, scene_index)
         for target_id in scene.object_ids():
             total += 1
             try:

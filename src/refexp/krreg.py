@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import numpy as np
-
 from .mlp import MlpModel
 # encode_pair is not called here; perfbench/tracing.py patches refexp.krreg.encode_pair
-from .networks import ScoredScene, encode_pair, presence_scores, validate_rpn  # noqa: F401
-from .scene import (CATEGORIES, PipelineConfig, ReferringExpression, RelationCategory, Scene,
-                    render_phrase)
+from .networks import (ScoredScene, distinct_relations, encode_pair,  # noqa: F401
+                       presence_scores, validate_rpn)
+from .scene import PipelineConfig, ReferringExpression, RelationCategory, Scene, render_phrase
 
 DISTANCE_FLOOR = 1e-6
 # The order in which a landmark's present relations are tried.
@@ -60,22 +58,12 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
     """
     validate_rpn(rpn)
     target = scene.object_by_id(target_id)
-    if len(scene.objects) < 2:
-        raise ValueError("scene must contain at least 2 objects")
-
     probabilities = presence_scores(rpn, scene) if scored is None else scored.probabilities
     present = probabilities > cfg.presence_threshold
     ids = scene.object_ids()
-    codes: dict[str, int] = {}
-    types = np.array([codes.setdefault(scene.object_by_id(oid).type_name, len(codes)) for oid in ids])
     t = ids.index(target_id)
-    distractor_rows = types == types[t]
-    distractor_rows[t] = False
-    # per type and category: does some distractor stand in it to an object of that type
-    repeated = np.zeros((len(codes), len(CATEGORIES)), dtype=bool)
-    np.logical_or.at(repeated, types, present[distractor_rows].any(axis=0))
-    # the objects of a landmark's type are exactly its same-type landmarks
-    distinct = dict(zip(ids, (present[t] & ~repeated[types]).tolist()))
+    # distractors are the target's type-mates; a landmark's type holds its same-type landmarks
+    distinct = dict(zip(ids, distinct_relations(scene, ids, t, present[t], present).tolist()))
 
     for landmark, _ in _ranked_landmarks(scene, target_id):
         for cat in RELATION_PRIORITY:

@@ -141,6 +141,19 @@ class ScoredScene:
         return int(np.count_nonzero(~np.isnan(self.probabilities)))
 
 
+def distinct_relations(scene: Scene, ids, t: int, own: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """The entries of row ``t``'s (n, 6) mask ``own`` that no type-mate of ``ids[t]``
+    repeats in the (n, n, 6) mask ``others`` against an object of the reference's
+    type: the type-signature test of both the pipeline and the baseline."""
+    codes: dict[str, int] = {}
+    types = np.array([codes.setdefault(scene.object_by_id(oid).type_name, len(codes)) for oid in ids])
+    mates = types == types[t]
+    mates[t] = False
+    repeated = np.zeros((len(codes), len(CATEGORIES)), dtype=bool)
+    np.logical_or.at(repeated, types, others[mates].any(axis=0))
+    return own & ~repeated[types]
+
+
 def _scene_pairs(scene: Scene) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Sorted ids, the (n, n) mask of ordered pairs (a, b), a != b, and their
     features in mask order; each row is exactly what ``encode_pair`` returns."""

@@ -12,25 +12,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mlp import MlpModel
-from .networks import ScoredScene, score_scene
+from .networks import ScoredScene, distinct_relations, score_scene
 from .scene import (PipelineConfig, ReferringExpression, Scene, SpatialRelation,
-                    render_phrase)
+                    UnknownObjectError, render_phrase)
 
 
 class EmptyCandidatesError(Exception):
     """No unambiguous relation is left for the target object."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationSets:
-    """Intermediate sets of the selection procedure, in (target, reference, category) order.
-
-    ``above_threshold`` holds NaN confidences wherever it holds no probability."""
+    """One target's selection stages: ``above_threshold`` is NaN wherever no relation
+    is above the threshold, ``best`` masks its per-(target, category) maxima and
+    ``target`` is the target's row. ``above_threshold.where(mask)`` lists relations."""
 
     above_threshold: ScoredScene
-    from_target: tuple[SpatialRelation, ...]
-    best_per_category: tuple[SpatialRelation, ...]
-    competitors: tuple[SpatialRelation, ...]
+    best: np.ndarray
+    target: int
 
 
 def _preference(rel: SpatialRelation) -> tuple:
@@ -40,17 +39,16 @@ def _preference(rel: SpatialRelation) -> tuple:
 
 
 def _scene_stages(scored: ScoredScene, threshold: float) -> tuple:
-    """The stages that depend only on the scene and the threshold: the mask of
-    relations above it, those relations, and the per-(target, category) maxima."""
+    """The stages that depend only on the scene and the threshold: the relations
+    above it and the mask of per-(target, category) maxima among them."""
     above = scored.probabilities > threshold  # NaN compares False
     confidences = np.where(above, scored.confidences_at(above), np.nan)
     # per (target, category) the most confident relation; of tied references, the lowest id
     confidence = np.where(above, confidences, -np.inf)
     best = above & (confidence == confidence.max(axis=1, keepdims=True, initial=-np.inf))
     best &= best.cumsum(axis=1) == 1
-    above_threshold = ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan),
-                                  confidences)
-    return above, above_threshold, scored.where(best)
+    best.flags.writeable = False  # shared by the scene's targets, like the arrays it masks
+    return ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan), confidences), best
 
 
 def build_candidate_sets(scored: ScoredScene, target_id: int,
@@ -61,24 +59,22 @@ def build_candidate_sets(scored: ScoredScene, target_id: int,
     at the threshold is excluded. The target-independent stages are computed
     once per threshold and shared across the scene's targets.
     """
+    if target_id not in scored.ids:
+        raise UnknownObjectError(f"no object with id {target_id} in the scored scene")
     threshold = cfg.presence_threshold
     if threshold not in scored._selections:
         scored._selections[threshold] = _scene_stages(scored, threshold)
-    above, above_threshold, best_per_category = scored._selections[threshold]
-    competitors = tuple(r for r in best_per_category if r.target_id != target_id)
-    from_target = scored.where(above & (np.asarray(scored.ids) == target_id)[:, None, None])
-    return RelationSets(above_threshold, from_target, best_per_category, competitors)
+    return RelationSets(*scored._selections[threshold], scored.ids.index(target_id))
 
 
 def eliminate_ambiguous(sets: RelationSets, scene: Scene) -> tuple[SpatialRelation, ...]:
-    """Drop every target relation that a competitor mirrors type-for-type.
-
-    A single pass against the original competitor set; removals never cascade.
-    """
-    type_of = {obj.id: obj.type_name for obj in scene.objects}
-    taken = {(type_of[r.target_id], type_of[r.reference_id], r.category) for r in sets.competitors}
-    return tuple(r for r in sets.from_target
-                 if (type_of[r.target_id], type_of[r.reference_id], r.category) not in taken)
+    """Drop every target relation that a competitor (another object's per-category
+    maximum) mirrors type-for-type. One pass, so removals never cascade; only the
+    survivors are built as relations."""
+    held, t = sets.above_threshold, sets.target
+    survivors = np.zeros_like(sets.best)
+    survivors[t] = distinct_relations(scene, held.ids, t, ~np.isnan(held.probabilities[t]), sets.best)
+    return held.where(survivors)
 
 
 def select_relation(candidates) -> SpatialRelation:

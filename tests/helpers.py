@@ -79,6 +79,11 @@ def held_relations(scored):
 
 
 def set_fields(sets):
-    """A RelationSets as its four stages' relation tuples, to compare field by field."""
-    return (held_relations(sets.above_threshold), sets.from_target, sets.best_per_category,
-            sets.competitors)
+    """A RelationSets' four stages as relation tuples, read from its masks through
+    ``above_threshold.where``: the relations above the threshold, the target's own,
+    the per-(target, category) maxima, and the maxima of the other targets."""
+    held = sets.above_threshold
+    row = np.zeros_like(sets.best)
+    row[sets.target] = True
+    return (held_relations(held), held.where(row & ~np.isnan(held.probabilities)),
+            held.where(sets.best), held.where(sets.best & ~row))

@@ -12,8 +12,9 @@ import refexp.datagen as datagen
 import refexp.evaluation as evaluation
 import refexp.pipeline as pipeline
 from refexp.datagen import SceneGenSpec, mirrored_duplicate_scenes
+from refexp.scene import PipelineConfig, RelationCategory, SpatialRelation
 
-from helpers import held_relations, two_books_and_mouse
+from helpers import held_relations, make_scene, scored_from_relations, two_books_and_mouse
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -66,3 +67,28 @@ def test_observers_read_real_results(rpn_model, rin_model):
     assert values["krreg.silent"] == 1
     assert values["datagen.pairs_drawn"] == sum(len(s.objects) * (len(s.objects) - 1) for s in drawn)
     assert tracer.calls["datagen.scene_drawn"] == 3
+
+
+def test_selection_observers_read_mask_stages(rpn_model, rin_model):
+    """``candidates_above`` counts the above-threshold entries at a threshold below
+    0.5 as well, and ``candidates_kept`` reads 0 for a target whose every relation is
+    mirrored by its twin."""
+    tracing = tracing_namespace()
+    scene = two_books_and_mouse()
+    scored = pipeline.score_scene(rpn_model, rin_model, scene)
+    twins = make_scene([(0, "book", (0, 40, 10, 10)), (1, "book", (40, 40, 10, 10)),
+                        (2, "mouse", (20, 40, 8, 8))])
+    right = RelationCategory.RIGHT
+    mirrored = scored_from_relations([SpatialRelation(1, 2, right, 0.9, 0.8),
+                                      SpatialRelation(0, 2, right, 0.9, 0.7)])
+    with tracing["Tracer"]() as tracer:
+        low = pipeline.build_candidate_sets(scored, 2, PipelineConfig(presence_threshold=0.3))
+        twin_sets = pipeline.build_candidate_sets(mirrored, 1)
+        kept = pipeline.eliminate_ambiguous(twin_sets, twins)
+    values = tracer.values
+
+    above = len(held_relations(low.above_threshold))
+    assert above > 0
+    assert values["pipeline.candidates_above"] == above + 2
+    assert kept == () and tracer.calls["pipeline.eliminate"] == 1
+    assert "pipeline.candidates_kept" in values and values["pipeline.candidates_kept"] == 0

@@ -13,7 +13,7 @@ import pytest
 
 from refexp.cli import main
 from refexp.datagen import (extract_rin_dataset, extract_rpn_dataset, read_rin_samples,
-                            read_rpn_samples, read_scenes)
+                            read_rpn_samples, read_scenes, write_scenes)
 from refexp.mlp import load_model, save_model
 from refexp.scene import scene_to_json
 
@@ -292,6 +292,19 @@ class TestCompareAndOracle:
         code = main(["eval-oracle", "--rpn", rpn_path, "--rin", rin_path,
                      "--corpus", str(corpus)])
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["compare", "eval-oracle"])
+    def test_one_object_scene_named(self, tmp_path, capsys, model_files, command):
+        """An empty scene has no cases and is skipped; a one-object scene is an input
+        error that names its index and object count."""
+        rpn_path, rin_path = model_files
+        corpus = tmp_path / "corpus.jsonl"
+        write_scenes(str(corpus), [two_books_and_mouse(), make_scene([]),
+                                   make_scene([(0, "cup", (10, 10, 5, 5))])])
+        corpus_flag = [str(corpus)] if command == "compare" else ["--corpus", str(corpus)]
+        code = main([command, *corpus_flag, "--rpn", rpn_path, "--rin", rin_path])
+        assert code == 2
+        assert "error: scene 2 has 1 object;" in capsys.readouterr().err
 
 
 class TestUsage:

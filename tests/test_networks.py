@@ -160,6 +160,8 @@ class TestScoreScene:
             for scores in (held.probabilities, held.confidences):
                 with pytest.raises(ValueError, match="read-only"):
                     scores[0, 1, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            sets.best[0, 1, 0] = True
         assert held_relations(rebuilt) == held_relations(scored)
         assert set_fields(build_candidate_sets(rebuilt, 0)) == set_fields(sets)
 

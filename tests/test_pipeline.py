@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from refexp.krreg import krreg_describe
 from refexp.networks import score_scene
-from refexp.pipeline import (EmptyCandidatesError, RelationSets, build_candidate_sets,
-                             describe, describe_oracle, eliminate_ambiguous, select_relation)
-from refexp.scene import PipelineConfig, RelationCategory, SpatialRelation
+from refexp.pipeline import (EmptyCandidatesError, build_candidate_sets, describe,
+                             describe_oracle, eliminate_ambiguous, select_relation)
+from refexp.scene import (PipelineConfig, RelationCategory, SpatialRelation, UnknownObjectError,
+                          scene_from_json)
 
-from helpers import (full_batch_scored, held_relations, make_scene, mixed_corpus,
-                     scored_from_relations, set_fields, two_books_and_mouse)
+from helpers import (crowded_scene_doc, full_batch_scored, held_relations, make_scene,
+                     mixed_corpus, scored_from_relations, set_fields, two_books_and_mouse)
 
 R = RelationCategory
 
@@ -21,7 +22,8 @@ def rel(t, r, cat, p, c):
 
 
 def loop_candidate_sets(relations, target_id, cfg=PipelineConfig()):
-    """The per-relation loops that the array stages replaced, kept as the reference."""
+    """The per-relation loops that the array stages replaced, kept as the reference:
+    the four stages as ``set_fields`` gives them."""
     def key(r):
         return (r.target_id, r.reference_id, r.category.index)
 
@@ -35,10 +37,18 @@ def loop_candidate_sets(relations, target_id, cfg=PipelineConfig()):
         if held is None or preference(r) > preference(held):
             best[(r.target_id, r.category)] = r
     best_per_category = tuple(sorted(best.values(), key=key))
-    return RelationSets(scored_from_relations(above),
-                        tuple(r for r in above if r.target_id == target_id),
-                        best_per_category,
-                        tuple(r for r in best_per_category if r.target_id != target_id))
+    return (above, tuple(r for r in above if r.target_id == target_id), best_per_category,
+            tuple(r for r in best_per_category if r.target_id != target_id))
+
+
+def ref_eliminate_ambiguous(stages, scene):
+    """The set-based elimination that the mask test replaced, kept as the reference:
+    a target relation survives unless some competitor has its type signature."""
+    _, from_target, _, competitors = stages
+    type_of = {obj.id: obj.type_name for obj in scene.objects}
+    taken = {(type_of[r.target_id], type_of[r.reference_id], r.category) for r in competitors}
+    return tuple(r for r in from_target
+                 if (type_of[r.target_id], type_of[r.reference_id], r.category) not in taken)
 
 
 def outcome(call):
@@ -62,20 +72,21 @@ class TestBuildCandidateSets:
         low = rel(0, 1, R.RIGHT, 0.9, 0.3)
         high = rel(0, 2, R.RIGHT, 0.9, 0.8)
         sets = build_candidate_sets(scored_from_relations([low, high]), 0)
-        assert sets.best_per_category == (high,)
+        assert set_fields(sets)[2] == (high,)
 
     def test_argmax_tie_prefers_lowest_reference(self):
         a = rel(0, 2, R.RIGHT, 0.9, 0.7)
         b = rel(0, 1, R.RIGHT, 0.9, 0.7)
         sets = build_candidate_sets(scored_from_relations([a, b]), 0)
-        assert sets.best_per_category == (b,)
+        assert set_fields(sets)[2] == (b,)
 
     def test_per_object_per_category_maxima(self):
         rels = [rel(0, 1, R.RIGHT, 0.9, 0.6), rel(0, 1, R.BEHIND, 0.8, 0.5),
                 rel(1, 0, R.LEFT, 0.9, 0.4)]
-        sets = build_candidate_sets(scored_from_relations(rels), 0)
-        assert len(sets.best_per_category) == 3
-        assert sets.competitors == (rels[2],)
+        _, _, best_per_category, competitors = set_fields(
+            build_candidate_sets(scored_from_relations(rels), 0))
+        assert len(best_per_category) == 3
+        assert competitors == (rels[2],)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_reference_on_ties(self, seed):
@@ -86,9 +97,9 @@ class TestBuildCandidateSets:
                 for a in ids for b in ids if a != b for cat in R if rng.random() < 0.6]
         rng.shuffle(rels)
         scored = scored_from_relations(rels)
-        for target in ids + [999]:
+        for target in ids:
             assert set_fields(build_candidate_sets(scored, target)) == \
-                set_fields(loop_candidate_sets(rels, target))
+                loop_candidate_sets(rels, target)
 
     def test_matches_loop_reference_on_scored_scenes(self, rpn_model, rin_model):
         for scene in mixed_corpus():
@@ -97,7 +108,7 @@ class TestBuildCandidateSets:
                 cfg = PipelineConfig(presence_threshold=threshold)
                 for target in scene.object_ids():
                     assert set_fields(build_candidate_sets(scored, target, cfg)) == \
-                        set_fields(loop_candidate_sets(held_relations(scored), target, cfg))
+                        loop_candidate_sets(held_relations(scored), target, cfg)
 
     def test_shared_scored_scene_matches_fresh_scoring(self, rpn_model, rin_model):
         """Stages memoized on one ScoredScene, reused across targets with the
@@ -114,9 +125,15 @@ class TestBuildCandidateSets:
                                                   want.above_threshold.probabilities)
                     np.testing.assert_array_equal(got.above_threshold.confidences,
                                                   want.above_threshold.confidences)
-                    assert got.from_target == want.from_target
-                    assert got.best_per_category == want.best_per_category
-                    assert got.competitors == want.competitors
+                    assert set_fields(got)[1:] == set_fields(want)[1:]
+
+    def test_unknown_target_named(self, rpn_model, rin_model):
+        """A target the scored scene does not hold is named, not read as a target
+        with no relations, and the row lookup's ValueError does not leak."""
+        scored = score_scene(rpn_model, rin_model, two_books_and_mouse())
+        with pytest.raises(UnknownObjectError, match="no object with id 99") as raised:
+            build_candidate_sets(scored, 99)
+        assert not isinstance(raised.value, ValueError)
 
     def test_confidences_independent_of_read_order(self, rpn_model, rin_model):
         """Whichever threshold is asked first, or the full array, the confidences
@@ -157,6 +174,24 @@ class TestEliminateAmbiguous:
         twin = rel(0, 2, R.RIGHT, 0.9, 0.7)
         sets = build_candidate_sets(scored_from_relations([mine, twin]), 1)
         assert eliminate_ambiguous(sets, self.scene()) == ()
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.3, 0.5, 0.7, 0.9])
+    def test_masks_equal_set_based_reference(self, rpn_model, rin_model, threshold):
+        """The mask test keeps exactly what the set-based elimination keeps, on every
+        target of cluttered, mirrored and crowded scenes."""
+        cfg = PipelineConfig(presence_threshold=threshold)
+        scenes = mixed_corpus() + [scene_from_json(crowded_scene_doc(n)) for n in (16, 32, 64)]
+        for scene in scenes:
+            scored = score_scene(rpn_model, rin_model, scene)
+            above = best = None
+            for target in scene.object_ids():
+                sets = build_candidate_sets(scored, target, cfg)
+                if above is None:  # both stages are shared by the scene's targets
+                    above = held_relations(sets.above_threshold)
+                    best = sets.above_threshold.where(sets.best)
+                stages = (above, tuple(r for r in above if r.target_id == target), best,
+                          tuple(r for r in best if r.target_id != target))
+                assert eliminate_ambiguous(sets, scene) == ref_eliminate_ambiguous(stages, scene)
 
     def test_unique_types_untouched(self):
         scene = make_scene([(0, "book", (0, 40, 10, 10)),
@@ -251,7 +286,7 @@ class TestDescribe:
                 shared = outcome(lambda: describe(rpn_model, rin_model, scene, target,
                                                   scored=scored))
                 fresh = outcome(lambda: describe(rpn_model, rin_model, scene, target))
-                loops = outcome(lambda: select_relation(eliminate_ambiguous(
+                loops = outcome(lambda: select_relation(ref_eliminate_ambiguous(
                     loop_candidate_sets(relations, target), scene)))
                 assert shared == fresh
                 if loops is None:
@@ -270,9 +305,24 @@ class TestDescribe:
         assert chosen.probability > 0.5
         type_of = {o.id: o.type_name for o in scene.objects}
         signature = (type_of[chosen.target_id], type_of[chosen.reference_id], chosen.category)
-        for comp in sets.competitors:
+        for comp in set_fields(sets)[3]:
             assert (type_of[comp.target_id], type_of[comp.reference_id], comp.category) != signature
 
+
+    def test_relations_built_for_survivors_only(self, rpn_model, rin_model, monkeypatch):
+        """Scoring and selection build no relation of their own: describing a target
+        of a 32-object scene builds at most as many as it has above the threshold."""
+        scene = scene_from_json(crowded_scene_doc(32))
+        target = 10
+        row = scene.object_ids().index(target)
+        above = int(np.count_nonzero(score_scene(rpn_model, rin_model, scene).probabilities[row] > 0.5))
+        built = []
+        post_init = SpatialRelation.__post_init__
+        monkeypatch.setattr(SpatialRelation, "__post_init__",
+                            lambda relation: built.append(relation) or post_init(relation))
+        got = describe(rpn_model, rin_model, scene, target)
+        assert got.target_id == target
+        assert 0 < len(built) <= above
 
     @pytest.mark.parametrize("threshold", [0.2, 0.3, 0.5, 0.7, 0.9])
     def test_split_batches_give_the_full_batch_phrases(self, rpn_model, rin_model, threshold):
