@@ -52,6 +52,8 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.test_fraction < 1.0:
+        raise ValueError(f"--test-fraction must lie in [0, 1), got {args.test_fraction}")
     if args.kind == "rpn":
         samples = datagen.read_rpn_samples(args.dataset)
         pairs = datagen.rpn_training_pairs(samples)
@@ -273,6 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (SceneFormatError, DatasetFormatError, ModelFormatError, NetworkShapeError,
             UnknownObjectError, FileNotFoundError, IsADirectoryError, ValueError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,7 +88,9 @@ class MlpModel:
             raise DimensionMismatchError(
                 f"expected inputs of dimension {self.layer_dims[0]}, got shape {x.shape}")
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = _activate(x @ w.T + b, act)
+            z = x @ w.T
+            z += b
+            x = np.maximum(z, 0.0, out=z) if act == "relu" else _activate(z, act)
         return x
 
 
@@ -140,12 +143,9 @@ def _activate(z: np.ndarray, act: str) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # min(z, -z) is -|z| but keeps a NaN's sign bit; its exp never overflows
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _activation_grad(z: np.ndarray, act: str) -> np.ndarray:
@@ -203,9 +203,7 @@ def _head_grad(logits: np.ndarray, labels: np.ndarray, head: str) -> np.ndarray:
         grad[np.arange(n), labels] -= 1.0
         return grad / n
     if head == "sigmoid":
-        grad = np.zeros_like(logits)
-        grad[:, 0] = (_sigmoid(logits[:, 0]) - labels) / n
-        return grad
+        return (_sigmoid(logits) - labels[:, None]) / n
     raise ValueError(f"training requires a softmax or sigmoid output layer, got '{head}'")
 
 
@@ -238,46 +236,57 @@ def _dataset_arrays(dataset, input_dim: int, head: str, output_dim: int) -> tupl
     return features, labels
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray, rng: np.random.Generator | None):
-    """Forward pass keeping per-layer caches; rng enables inverted dropout.
+def _dropout_masks(model: MlpModel, rows: int, rng: np.random.Generator) -> list[np.ndarray] | None:
+    """Inverted-dropout masks for each layer's input, cut in layer order from
+    one draw: the doubles of one ``rng.random((rows, in_dim))`` per layer."""
+    if model.dropout_rate == 0.0:
+        return None
+    dims = [w.shape[1] for w in model.weights]
+    flat = (rng.random(rows * sum(dims)) >= model.dropout_rate) / (1.0 - model.dropout_rate)
+    return [flat[(end - d) * rows:end * rows].reshape(rows, d) for d, end in zip(dims, accumulate(dims))]
 
-    Returns raw logits for the output layer; the loss heads consume logits.
-    """
+
+def _forward_cached(model: MlpModel, x: np.ndarray, masks: list[np.ndarray] | None):
+    """Forward pass keeping per-layer caches; masks (one per layer input, or
+    None) apply inverted dropout. Returns the output layer's raw logits."""
     caches = []
     a = x
     last = len(model.weights) - 1
     for i, (w, b, act) in enumerate(zip(model.weights, model.biases, model.activations)):
-        if rng is not None and model.dropout_rate > 0.0:
-            mask = (rng.random(a.shape) >= model.dropout_rate) / (1.0 - model.dropout_rate)
-            a = a * mask
-        else:
-            mask = None
-        z = a @ w.T + b
+        mask = None if masks is None else masks[i]
+        a = a if mask is None else a * mask
+        z = a @ w.T
+        z += b
         caches.append((a, mask, z))
         a = z if i == last else _activate(z, act)
     return a, caches
 
 
-def _backward(model: MlpModel, caches, grad_logits: np.ndarray):
-    """Gradients for every weight and bias given dLoss/dLogits."""
-    grads_w, grads_b = [], []
+def _flat(weights: list[np.ndarray], biases: list[np.ndarray]):
+    """One buffer holding copies of the weights then the biases, and views of it shaped like them."""
+    params = weights + biases
+    flat = np.concatenate([p.ravel() for p in params])
+    views = [flat[end - p.size:end].reshape(p.shape)
+             for p, end in zip(params, accumulate(p.size for p in params))]
+    return flat, views[:len(weights)], views[len(weights):]
+
+
+def _backward(model: MlpModel, caches, grad_logits: np.ndarray, grads_w, grads_b) -> None:
+    """Write every layer's dLoss/dW and dLoss/db, given dLoss/dLogits, into grads_w and grads_b."""
     dz = grad_logits
     for i in range(len(model.weights) - 1, -1, -1):
         a_in, mask, _ = caches[i]
-        grads_w.append(dz.T @ a_in)
-        grads_b.append(dz.sum(axis=0))
+        np.matmul(dz.T, a_in, out=grads_w[i])
+        dz.sum(axis=0, out=grads_b[i])
         if i > 0:
-            da = dz @ model.weights[i]
+            dz = dz @ model.weights[i]
             if mask is not None:
-                da = da * mask
-            dz = da * _activation_grad(caches[i - 1][2], model.activations[i - 1])
-    grads_w.reverse()
-    grads_b.reverse()
-    return grads_w, grads_b
+                dz *= mask
+            dz *= _activation_grad(caches[i - 1][2], model.activations[i - 1])
 
 
 def _batch_loss(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    out, _ = _forward_cached(model, x, rng=None)
+    out, _ = _forward_cached(model, x, None)
     return _head_loss(out, labels, model.activations[-1])
 
 
@@ -302,6 +311,9 @@ def train(dataset, specs: list[LayerSpec], cfg: TrainConfig = TrainConfig(),
     n = len(features)
     rng = np.random.default_rng(cfg.seed)
     model = init_model(specs, rng, dropout_rate=dropout_rate)
+    # every parameter lives in one buffer, so one SGD step is two array operations
+    params, model.weights, model.biases = _flat(model.weights, model.biases)
+    grads, grads_w, grads_b = _flat(model.weights, model.biases)
 
     n_val = max(1, int(round(n * cfg.validation_fraction)))
     if n - n_val < 1:
@@ -312,7 +324,6 @@ def train(dataset, specs: list[LayerSpec], cfg: TrainConfig = TrainConfig(),
 
     report = TrainReport()
     best_val = -1.0
-    best_weights = None
     stale = 0
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(x_train))
@@ -320,14 +331,11 @@ def train(dataset, specs: list[LayerSpec], cfg: TrainConfig = TrainConfig(),
         # a diverging step overflows; the finite check below reports it as an error
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(xs), cfg.batch_size):
-                out, caches = _forward_cached(model, xs[start:start + cfg.batch_size], rng)
-                grad = _head_grad(out, ys[start:start + cfg.batch_size], head)
-                grads_w, grads_b = _backward(model, caches, grad)
-                for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                    w -= cfg.learning_rate * gw
-                    b -= cfg.learning_rate * gb
-        if not all(np.isfinite(w).all() and np.isfinite(b).all()
-                   for w, b in zip(model.weights, model.biases)):
+                x, y = xs[start:start + cfg.batch_size], ys[start:start + cfg.batch_size]
+                out, caches = _forward_cached(model, x, _dropout_masks(model, len(x), rng))
+                _backward(model, caches, _head_grad(out, y, head), grads_w, grads_b)
+                params -= cfg.learning_rate * grads
+        if not np.isfinite(params).all():
             raise ValueError(f"training diverged: parameters became non-finite in epoch {epoch}; "
                              f"lower the learning rate (got {cfg.learning_rate})")
         train_pred = _predictions(model.forward_batch(x_train), head)
@@ -337,14 +345,14 @@ def train(dataset, specs: list[LayerSpec], cfg: TrainConfig = TrainConfig(),
         report.epochs_run = epoch + 1
         if report.validation_accuracy[-1] > best_val:
             best_val = report.validation_accuracy[-1]
-            best_weights = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+            best_params = params.copy()
             report.best_epoch = epoch
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    model.weights, model.biases = best_weights
+    params[:] = best_params
     return model, report
 
 
@@ -355,13 +363,11 @@ def gradient_check(model: MlpModel, features, label, step: float = 1e-5) -> floa
                          f"intended for small models (<= {_GRADIENT_CHECK_PARAM_CAP})")
     head = model.activations[-1]
     x = np.asarray(features, dtype=np.float64)[None, :]
-    if head == "softmax":
-        labels = np.asarray([int(label)], dtype=np.int64)
-    else:
-        labels = np.asarray([int(bool(label))], dtype=np.int64)
+    labels = np.asarray([int(label) if head == "softmax" else int(bool(label))], dtype=np.int64)
 
-    out, caches = _forward_cached(model, x, rng=None)
-    grads_w, grads_b = _backward(model, caches, _head_grad(out, labels, head))
+    out, caches = _forward_cached(model, x, None)
+    _, grads_w, grads_b = _flat(model.weights, model.biases)
+    _backward(model, caches, _head_grad(out, labels, head), grads_w, grads_b)
 
     worst = 0.0
     for params, grads in ((model.weights, grads_w), (model.biases, grads_b)):

@@ -177,6 +177,30 @@ class TestTrain:
         code = main(["train", "rpn", str(data), "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("fraction", ["-1", "1", "1.5", "nan", "inf"])
+    def test_test_fraction_outside_unit_interval_named(self, tmp_path, capsys, fraction):
+        data = tmp_path / "rpn.jsonl"
+        main(["gen-data", "rpn", "--out", str(data), "-n", "60"])
+        capsys.readouterr()
+        weights = tmp_path / "m.json"
+        code = main(["train", "rpn", str(data), "--out", str(weights), "--epochs", "2",
+                     "--test-fraction", fraction])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --test-fraction must lie in [0, 1), got ")
+        assert not weights.exists()
+
+    def test_zero_test_fraction_reports_no_test_split(self, tmp_path, capsys):
+        data = tmp_path / "rpn.jsonl"
+        main(["gen-data", "rpn", "--out", str(data), "-n", "60"])
+        capsys.readouterr()
+        code = main(["train", "rpn", str(data), "--out", str(tmp_path / "m.json"),
+                     "--epochs", "2", "--test-fraction", "0"])
+        assert code == 0
+        splits = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:3]]
+        assert splits == ["train", "validation"]
+        assert (tmp_path / "m.json").exists()
+
 
 class TestDescribe:
     def test_happy_path_json(self, tmp_path, capsys, model_files):
@@ -313,6 +337,19 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "rpn", "data.jsonl", "--out", "m.json"],
+        ["gen-data", "rin", "--out", "d.jsonl"],
+        ["gen-scenes", "--out", "s.jsonl"],
+        ["eval-oracle", "--rpn", "rpn.json", "--rin", "rin.json"],
+        ["extract-vg", "rpn", "a.json", "--out", "d.jsonl"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_named(self, tmp_path, capsys, argv):
+        paths = [str(tmp_path / a) if "." in a else a for a in argv]
+        assert main(paths + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not any(tmp_path.iterdir())
 
     def test_extract_vg_missing_file(self, tmp_path, capsys):
         code = main(["extract-vg", "rpn", str(tmp_path / "nope.json"),

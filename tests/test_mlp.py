@@ -1,14 +1,28 @@
 """Trainer, forward pass, gradient check and weights-file round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from refexp.mlp import (DimensionMismatchError, LayerSpec, MlpModel, ModelFormatError,
-                        TrainConfig, accuracy, gradient_check, init_model, load_model,
-                        save_model, train)
-from refexp.networks import rin_layer_specs, rpn_layer_specs
+from refexp import mlp
+from refexp.mlp import (ACTIVATIONS, DimensionMismatchError, LayerSpec, MlpModel,
+                        ModelFormatError, TrainConfig, accuracy, gradient_check, init_model,
+                        load_model, save_model, train)
+from refexp.networks import RIN_FEATURE_DIM, rin_layer_specs, rpn_layer_specs
+
+from test_mlp_equivalence import reference_forward_batch, reference_sigmoid
+
+# signed zeros, infinities, NaNs (two payloads, either sign), subnormals and
+# magnitudes past 709, where exp overflows or underflows
+SIGMOID_EDGES = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.225e-308, -1e-310,
+     709.79, -709.79, 745.2, -745.2, 1e308, -1e308],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+              0xFFF0000000000001], dtype=np.uint64).view(np.float64)])
 
 
 def zero_model(dims, activations, dropout=0.2):
@@ -58,6 +72,37 @@ class TestForward:
         x = np.random.default_rng(1).uniform(0, 1, 14)
         assert np.array_equal(model.forward(x), model.forward(x))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_forward_batch_equals_chained_forward(self, data):
+        depth = data.draw(st.integers(1, 4))
+        dims = data.draw(st.lists(st.integers(1, 9), min_size=depth + 1, max_size=depth + 1))
+        acts = data.draw(st.lists(st.sampled_from(("relu", "sigmoid", "identity")),
+                                  min_size=depth - 1, max_size=depth - 1))
+        acts.append(data.draw(st.sampled_from(ACTIVATIONS)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from((0.1, 1.0, 30.0)))
+        model = MlpModel([rng.normal(0, scale, (o, i)) for i, o in zip(dims, dims[1:])],
+                         [rng.normal(0, scale, o) for o in dims[1:]], acts)
+        # up to 70 rows, so both of OpenBLAS's small- and large-batch paths run
+        x = rng.normal(0, scale, (data.draw(st.integers(1, 70)), dims[0]))
+        before = x.copy()
+        got = model.forward_batch(x)
+        np.testing.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      reference_forward_batch(model, x).view(np.uint64))
+
+
+class TestSigmoid:
+    @settings(max_examples=300)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+                      elements=st.one_of(st.floats(), st.sampled_from(SIGMOID_EDGES.tolist()))))
+    @example(SIGMOID_EDGES)
+    @example(SIGMOID_EDGES.reshape(-1, 2))
+    def test_equals_boolean_indexed_formula_bit_for_bit(self, z):
+        np.testing.assert_array_equal(mlp._sigmoid(z).view(np.uint64),
+                                      reference_sigmoid(z).view(np.uint64))
+
 
 class TestModelValidation:
     def test_misaligned_layers_rejected(self):
@@ -97,6 +142,16 @@ class TestGradientCheck:
         model = zero_model((8, 32, 16, 6), ["relu", "relu", "softmax"], dropout=0.0)
         x = np.random.default_rng(2).uniform(0, 1, 8)
         assert gradient_check(model, x, 0) < 1e-6
+
+    def test_trained_model(self):
+        # a trained model's weights are views of the trainer's flat buffer;
+        # the check perturbs them in place through those views
+        specs = [LayerSpec(2, 8, "relu"), LayerSpec(8, 1, "sigmoid")]
+        model, _ = train(toy_blobs(), specs, TrainConfig(seed=1, max_epochs=5))
+        before = [p.copy() for p in model.weights + model.biases]
+        assert gradient_check(model, np.array([0.3, -0.2]), 1) < 1e-4
+        for p, q in zip(model.weights + model.biases, before):
+            assert p.tobytes() == q.tobytes()
 
 
 class TestTrain:
@@ -150,6 +205,26 @@ class TestTrain:
     def test_non_finite_learning_rate_rejected(self, lr):
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(learning_rate=lr)
+
+    def test_peak_memory_is_pinned(self):
+        # tracemalloc peak of one training call at the recipe's rin shape: about
+        # 3.95 MB with NumPy 2.4. The bound is the 5,340,754 bytes measured
+        # before the inference pass worked in place, plus 10%; a per-epoch
+        # dropout mask array (3,600 rows x 102 inputs, 2.9 MB) exceeds it.
+        rng = np.random.default_rng(0)
+        features = rng.random((4000, RIN_FEATURE_DIM))
+        data = list(zip(features, (features[:, 0] > 0.5).astype(int)))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train(data, rin_layer_specs(), TrainConfig(seed=3, max_epochs=2, patience=2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 5_875_000
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_training_raises(self):

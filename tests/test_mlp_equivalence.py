@@ -2,9 +2,12 @@
 
 The reference below indexes every mini-batch out of the full feature matrix,
 computes the loss with each gradient, and applies the relu backward as a
-float mask, as the first trainer did. The current trainer must reproduce its
-weights, biases and report bit for bit, so models trained for a seed never
-change.
+float mask, as the first trainer did. It is frozen: its forward pass draws one
+dropout mask per layer from the rng, its sigmoid is the boolean-indexed
+formula, its inference pass builds a fresh array at every step, and it steps
+each layer's weights and biases as separate arrays, so none of it calls the
+code under test. The current trainer must reproduce its weights,
+biases and report bit for bit, so models trained for a seed never change.
 """
 
 import numpy as np
@@ -19,27 +22,72 @@ from refexp.networks import rin_layer_specs, rpn_layer_specs
 
 # --- per-batch reference -------------------------------------------------------
 
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_activate(z, act):
+    if act == "relu":
+        return np.maximum(z, 0.0)
+    if act == "sigmoid":
+        return reference_sigmoid(z)
+    if act == "softmax":
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    return z
+
+
+def reference_forward_batch(model, x):
+    """Inference pass without dropout, one fresh array per step."""
+    for w, b, act in zip(model.weights, model.biases, model.activations):
+        x = reference_activate(x @ w.T + b, act)
+    return x
+
+
+def reference_forward_cached(model, x, rng):
+    """Training forward pass: one ``rng.random`` mask per layer input, drawn in
+    layer order; returns raw output logits and (input, mask, logits) caches."""
+    caches = []
+    a = x
+    last = len(model.weights) - 1
+    for i, (w, b, act) in enumerate(zip(model.weights, model.biases, model.activations)):
+        if rng is not None and model.dropout_rate > 0.0:
+            mask = (rng.random(a.shape) >= model.dropout_rate) / (1.0 - model.dropout_rate)
+            a = a * mask
+        else:
+            mask = None
+        z = a @ w.T + b
+        caches.append((a, mask, z))
+        a = z if i == last else reference_activate(z, act)
+    return a, caches
+
+
 def reference_head_loss_and_grad(logits, labels, head):
     n = logits.shape[0]
     if head == "softmax":
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
         loss = float((log_z - logits[np.arange(n), labels]).mean())
-        grad = mlp._activate(logits, "softmax")
+        grad = reference_activate(logits, "softmax")
         grad[np.arange(n), labels] -= 1.0
         return loss, grad / n
     z = logits[:, 0]
     y = labels.astype(np.float64)
     loss = float((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean())
     grad = np.zeros_like(logits)
-    grad[:, 0] = (mlp._sigmoid(z) - y) / n
+    grad[:, 0] = (reference_sigmoid(z) - y) / n
     return loss, grad
 
 
 def reference_activation_grad(z, act):
     if act == "relu":
         return (z > 0).astype(np.float64)
-    s = mlp._sigmoid(z)
+    s = reference_sigmoid(z)
     return s * (1.0 - s)
 
 
@@ -74,14 +122,14 @@ def reference_train(dataset, specs, cfg, dropout_rate):
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), cfg.batch_size):
             batch = train_idx[order[start:start + cfg.batch_size]]
-            out, caches = mlp._forward_cached(model, features[batch], rng)
+            out, caches = reference_forward_cached(model, features[batch], rng)
             _, grad = reference_head_loss_and_grad(out, labels[batch], head)
             grads_w, grads_b = reference_backward(model, caches, grad)
             for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
                 w -= cfg.learning_rate * gw
                 b -= cfg.learning_rate * gb
-        train_pred = mlp._predictions(model.forward_batch(features[train_idx]), head)
-        val_pred = mlp._predictions(model.forward_batch(features[val_idx]), head)
+        train_pred = mlp._predictions(reference_forward_batch(model, features[train_idx]), head)
+        val_pred = mlp._predictions(reference_forward_batch(model, features[val_idx]), head)
         report.train_accuracy.append(float((train_pred == labels[train_idx]).mean()))
         report.validation_accuracy.append(float((val_pred == labels[val_idx]).mean()))
         report.epochs_run = epoch + 1
@@ -108,6 +156,10 @@ def rin_pairs():
     return rin_training_pairs(synth_rin_dataset(SceneGenSpec(seed=2), 310))
 
 
+def rin_recipe_pairs():
+    return rin_training_pairs(synth_rin_dataset(SceneGenSpec(seed=3), 1200))
+
+
 CASES = {
     # 270 training rows: the last batch of 32 holds 14
     "rpn-softmax-no-dropout": (rpn_pairs, rpn_layer_specs, 0.0,
@@ -120,6 +172,14 @@ CASES = {
     "rpn-early-stop": (rpn_pairs, rpn_layer_specs, 0.0,
                        TrainConfig(seed=7, batch_size=16, max_epochs=200, patience=4,
                                    learning_rate=0.2)),
+    # 270 training rows: the last batch of 24 holds 6
+    "rpn-softmax-dropout": (rpn_pairs, rpn_layer_specs, 0.2,
+                            TrainConfig(seed=8, batch_size=24, max_epochs=8, patience=8,
+                                        learning_rate=0.2)),
+    # the recipe's rin shape, batch, rate and learning rate; 1,080 training
+    # rows: the last batch of 32 holds 24
+    "rin-recipe": (rin_recipe_pairs, rin_layer_specs, 0.2,
+                   TrainConfig(seed=9, max_epochs=6, patience=6)),
 }
 
 
@@ -130,7 +190,7 @@ def test_train_equals_per_batch_loop(case):
     model, report = mlp.train(data, specs(), cfg, dropout_rate=dropout)
     expected, expected_report = reference_train(data, specs(), cfg, dropout)
     for actual, wanted in zip(model.weights + model.biases, expected.weights + expected.biases):
-        np.testing.assert_array_equal(actual, wanted)
+        assert actual.shape == wanted.shape and actual.tobytes() == wanted.tobytes()
     np.testing.assert_array_equal(report.train_accuracy, expected_report.train_accuracy)
     np.testing.assert_array_equal(report.validation_accuracy,
                                   expected_report.validation_accuracy)
