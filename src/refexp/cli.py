@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -27,6 +28,30 @@ logger = logging.getLogger(__name__)
 
 USAGE_ERROR = 2
 METHOD_FAILURE = 1
+
+# (flags, requirement, test of a value and the parsed arguments), checked on every
+# command that has the flag before the command runs, so an error names the flag
+_FLAG_CHECKS = (
+    (("--seed",), "be a non-negative integer", lambda v, args: v >= 0),
+    (("--batch-size", "--epochs", "--patience", "--count", "-n", "--cap"), "be positive",
+     lambda v, args: v > 0),
+    (("--lr",), "be a positive finite number", lambda v, args: 0.0 < v < math.inf),
+    (("--test-fraction", "--dropout"), "lie in [0, 1)", lambda v, args: 0.0 <= v < 1.0),
+    (("--val-fraction", "--threshold"), "lie strictly between 0 and 1",
+     lambda v, args: 0.0 < v < 1.0),
+    (("--duplicate-prob",), "lie in [0, 1]", lambda v, args: 0.0 <= v <= 1.0),
+    (("--min-objects",), "be at least 2", lambda v, args: v >= 2),
+    (("--max-objects",), f"lie between --min-objects and the {len(datagen.DEFAULT_TYPE_POOL)} "
+     "object types", lambda v, args: args.min_objects <= v <= len(datagen.DEFAULT_TYPE_POOL)),
+)
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    for flags, requirement, test in _FLAG_CHECKS:
+        for flag in flags:
+            value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+            if value is not None and not test(value, args):
+                raise ValueError(f"{flag} must {requirement}, got {value}")
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -52,8 +77,6 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.test_fraction < 1.0:
-        raise ValueError(f"--test-fraction must lie in [0, 1), got {args.test_fraction}")
     if args.kind == "rpn":
         samples = datagen.read_rpn_samples(args.dataset)
         pairs = datagen.rpn_training_pairs(samples)
@@ -275,8 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        _check_flags(args)
         return args.func(args)
     except (SceneFormatError, DatasetFormatError, ModelFormatError, NetworkShapeError,
             UnknownObjectError, FileNotFoundError, IsADirectoryError, ValueError) as exc:

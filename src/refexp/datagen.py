@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import PAIR_FEATURE_DIM, RIN_FEATURE_DIM, encode_pair, encode_relation
-# rule_holds and rule_margins are not called here; perfbench/tracing.py patches them on this module
+# perfbench/tracing.py patches encode_pair, rule_holds and rule_margins on this module
+from .networks import PAIR_FEATURE_DIM, RIN_FEATURE_DIM, encode_pair  # noqa: F401
 from .rules import rule_holds, rule_margins, rule_table  # noqa: F401
 from .scene import (CATEGORIES, BoundingBox, RelationCategory, Scene, SceneFormatError,
                     SceneObject, _is_finite_number, clamp_box, scene_from_json, scene_to_json)
@@ -413,6 +413,27 @@ def _capped(rng: np.random.Generator, samples: list, cap: int) -> list:
     return [samples[k] for k in picked]
 
 
+def _annotated_images(path: str, synonyms: dict[str, RelationCategory]):
+    """Per image: its size, its clamped (k, 4) pixel boxes in order of first
+    mention (subject before object), and one (category, subject index, reference
+    index) per relationship, None for an unmapped predicate or a box outside
+    the image. Relationships sharing a box share its index."""
+    for image in read_vg_annotations(path):
+        width, height = image["width"], image["height"]
+        index: dict[tuple[float, float, float, float], int] = {}
+
+        def box_id(raw: tuple[float, float, float, float]) -> int | None:
+            box = _clamped(raw, width, height)
+            if box is None:
+                return None
+            return index.setdefault((box.x, box.y, box.w, box.h), len(index))
+
+        relations = [(synonyms.get(normalize_predicate(rel["predicate"])),
+                      box_id(rel["subject"]), box_id(rel["object"]))
+                     for rel in image["relationships"]]
+        yield width, height, np.array(list(index), dtype=float).reshape(-1, 4), relations
+
+
 def extract_rpn_dataset(path: str, synonym_map: dict[str, RelationCategory] | None = None,
                         per_class_cap: int = 990, seed: int = 0) -> list[RpnSample]:
     """Presence samples from annotated relationships, capped per category.
@@ -427,28 +448,22 @@ def extract_rpn_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
     pools: dict[RelationCategory, list[RpnSample]] = {cat: [] for cat in CATEGORIES}
     skipped = 0
     dropped_boxes = 0
-    for image in read_vg_annotations(path):
-        for rel in image["relationships"]:
-            cat = synonyms.get(normalize_predicate(rel["predicate"]))
+    for width, height, boxes, relations in _annotated_images(path, synonyms):
+        # the rows encode_pair builds: clamped unit boxes of target then reference
+        unit = np.clip(boxes / (width, height, width, height), 0.0, 1.0)
+        for cat, subject, reference in relations:
             if cat is None:
                 skipped += 1
-                continue
-            subject = _clamped(rel["subject"], image["width"], image["height"])
-            reference = _clamped(rel["object"], image["width"], image["height"])
-            if subject is None or reference is None:
+            elif subject is None or reference is None:
                 dropped_boxes += 1
-                continue
-            scene = Scene(image["width"], image["height"],
-                          (SceneObject(0, "subject", subject), SceneObject(1, "object", reference)))
-            pools[cat].append(RpnSample(encode_pair(scene, 0, 1), cat))
+            else:
+                pools[cat].append(RpnSample(np.concatenate((unit[subject], unit[reference])), cat))
     if skipped:
         logger.info("skipped %d relationships with unmapped predicates", skipped)
     if dropped_boxes:
         logger.info("dropped %d relationships with boxes outside the image", dropped_boxes)
     rng = np.random.default_rng(seed)
-    samples = []
-    for cat in CATEGORIES:
-        samples.extend(_capped(rng, pools[cat], per_class_cap))
+    samples = [sample for cat in CATEGORIES for sample in _capped(rng, pools[cat], per_class_cap)]
     if not samples:
         logger.warning("no usable relationship annotations in %s", path)
     return samples
@@ -460,55 +475,28 @@ def extract_rin_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
 
     Annotated pairs are informative. Pairs within the same image whose rule
     fires for a category but that were never annotated with it are
-    uninformative. Both sides are capped per category.
+    uninformative; the boxes of every relationship count, mapped or not. Both
+    sides are capped per category.
     """
     if per_class_cap <= 0:
         raise ValueError("per_class_cap must be positive")
     synonyms = DEFAULT_PREDICATE_SYNONYMS if synonym_map is None else synonym_map
-    informative: dict[RelationCategory, list[RinSample]] = {cat: [] for cat in CATEGORIES}
-    uninformative: dict[RelationCategory, list[RinSample]] = {cat: [] for cat in CATEGORIES}
-    for image in read_vg_annotations(path):
-        width, height = image["width"], image["height"]
-        boxes: list[BoundingBox] = []
-        index: dict[tuple, int] = {}
-
-        def box_id(raw: tuple[float, float, float, float]) -> int | None:
-            box = _clamped(raw, width, height)
-            if box is None:
-                return None
-            key = (box.x, box.y, box.w, box.h)
-            if key not in index:
-                index[key] = len(boxes)
-                boxes.append(box)
-            return index[key]
-
-        annotated: set[tuple[int, int, RelationCategory]] = set()
-        for rel in image["relationships"]:
-            cat = synonyms.get(normalize_predicate(rel["predicate"]))
-            subject = box_id(rel["subject"])
-            reference = box_id(rel["object"])
-            if cat is None or subject is None or reference is None or subject == reference:
-                continue
-            annotated.add((subject, reference, cat))
-        if not boxes:
-            continue
-        scene = Scene(width, height,
-                      tuple(SceneObject(i, "object", box) for i, box in enumerate(boxes)))
-        for subject, reference, cat in sorted(annotated, key=lambda t: (t[0], t[1], t[2].index)):
-            informative[cat].append(
-                RinSample(encode_relation(scene, subject, reference, cat), True))
-        pixels = np.array([(b.x, b.y, b.w, b.h) for b in boxes])
-        holds = np.nonzero(~np.isnan(rule_table(pixels[:, None], pixels[None, :], width, height)))
-        for subject, reference, c in zip(*(axis.tolist() for axis in holds)):
-            if (subject, reference, CATEGORIES[c]) not in annotated:
-                uninformative[CATEGORIES[c]].append(
-                    RinSample(encode_relation(scene, subject, reference, CATEGORIES[c]), False))
+    # one pool per category of informative samples, then one per category of uninformative ones
+    pools: list[list[RinSample]] = [[] for _ in range(2 * len(CATEGORIES))]
+    one_hot = np.eye(len(CATEGORIES))
+    for width, height, boxes, relations in _annotated_images(path, synonyms):
+        # the rows encode_relation builds: clamped unit boxes, then the one-hot category
+        unit = np.clip(boxes / (width, height, width, height), 0.0, 1.0)
+        annotated = {(subject, reference, cat.index) for cat, subject, reference in relations
+                     if None not in (cat, subject, reference) and subject != reference}
+        holds = np.nonzero(~np.isnan(rule_table(boxes[:, None], boxes[None, :], width, height)))
+        unannotated = set(zip(*(axis.tolist() for axis in holds))) - annotated
+        for first, label, triples in ((0, True, annotated), (len(CATEGORIES), False, unannotated)):
+            for subject, reference, c in sorted(triples):
+                pools[first + c].append(RinSample(
+                    np.concatenate((unit[subject], unit[reference], one_hot[c])), label))
     rng = np.random.default_rng(seed)
-    samples = []
-    for cat in CATEGORIES:
-        samples.extend(_capped(rng, informative[cat], per_class_cap))
-    for cat in CATEGORIES:
-        samples.extend(_capped(rng, uninformative[cat], per_class_cap))
+    samples = [sample for pool in pools for sample in _capped(rng, pool, per_class_cap)]
     if not samples:
         logger.warning("no usable relationship annotations in %s", path)
     return samples

@@ -23,6 +23,9 @@ RIN_FEATURE_DIM = PAIR_FEATURE_DIM + len(CATEGORIES)
 
 RPN_DIMS = (PAIR_FEATURE_DIM, 32, 16, len(CATEGORIES))
 RIN_DIMS = (RIN_FEATURE_DIM, 64, 16, 8, 1)
+# (layer widths, activations) of each net: its layer specs and its shape check
+_RPN_SHAPE = (RPN_DIMS, ("relu", "relu", "softmax"))
+_RIN_SHAPE = (RIN_DIMS, ("relu", "relu", "relu", "sigmoid"))
 
 logger = logging.getLogger(__name__)
 
@@ -31,21 +34,16 @@ class NetworkShapeError(ValueError):
     """A model does not have the architecture an operation requires."""
 
 
+def _layer_specs(dims: tuple[int, ...], activations: tuple[str, ...]) -> list[LayerSpec]:
+    return [LayerSpec(n_in, n_out, act) for n_in, n_out, act in zip(dims, dims[1:], activations)]
+
+
 def rpn_layer_specs() -> list[LayerSpec]:
-    return [
-        LayerSpec(RPN_DIMS[0], RPN_DIMS[1], "relu"),
-        LayerSpec(RPN_DIMS[1], RPN_DIMS[2], "relu"),
-        LayerSpec(RPN_DIMS[2], RPN_DIMS[3], "softmax"),
-    ]
+    return _layer_specs(*_RPN_SHAPE)
 
 
 def rin_layer_specs() -> list[LayerSpec]:
-    return [
-        LayerSpec(RIN_DIMS[0], RIN_DIMS[1], "relu"),
-        LayerSpec(RIN_DIMS[1], RIN_DIMS[2], "relu"),
-        LayerSpec(RIN_DIMS[2], RIN_DIMS[3], "relu"),
-        LayerSpec(RIN_DIMS[3], RIN_DIMS[4], "sigmoid"),
-    ]
+    return _layer_specs(*_RIN_SHAPE)
 
 
 def _check_shape(model: MlpModel, dims: tuple[int, ...], activations: tuple[str, ...], name: str) -> None:
@@ -57,11 +55,11 @@ def _check_shape(model: MlpModel, dims: tuple[int, ...], activations: tuple[str,
 
 
 def validate_rpn(model: MlpModel) -> None:
-    _check_shape(model, RPN_DIMS, ("relu", "relu", "softmax"), "presence")
+    _check_shape(model, *_RPN_SHAPE, "presence")
 
 
 def validate_rin(model: MlpModel) -> None:
-    _check_shape(model, RIN_DIMS, ("relu", "relu", "relu", "sigmoid"), "informativeness")
+    _check_shape(model, *_RIN_SHAPE, "informativeness")
 
 
 def encode_pair(scene: Scene, target_id: int, reference_id: int) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Symbolic box rules for the six relation categories.
+"""Symbolic box rules for the six relation categories, one row of ``_RULES`` each.
 
-All six inequalities are strict on both sides. Note that the on-top /
-at-bottom pair tests containment along the x axis, not the y axis; the
-definition is deliberate and kept as-is.
+A rule holds when both signed offsets of the target's edges from the reference's
+along its axis are positive, so its inequalities are strict. On-top / at-bottom
+test containment along the x axis, not the y axis; that is deliberate and kept.
 """
 
 from __future__ import annotations
@@ -11,74 +11,55 @@ import numpy as np
 
 from .scene import CATEGORIES, BoundingBox, RelationCategory
 
+# (axis, near-edge sign, far-edge sign) per category in canonical order; axis 0 is x, 1 is y
+_RULES = dict(zip(CATEGORIES, [(0, 1.0, 1.0), (0, -1.0, -1.0), (0, 1.0, -1.0), (0, -1.0, 1.0),
+                               (1, 1.0, 1.0), (1, -1.0, -1.0)]))
+# For finite doubles a - b > 0 exactly when a > b, and a sign change is exact, so every
+# function below tests the same inequalities and yields the same slack bits.
+
+
+def _edge_offsets(t_start, t_size, r_start, r_size):
+    # offsets of the target's near and far edges from the reference's along one axis
+    return t_start - r_start, (t_start + t_size) - (r_start + r_size)
+
 
 def rule_holds(target: BoundingBox, reference: BoundingBox, category: RelationCategory) -> bool:
     """True when the target box stands in the given relation to the reference box."""
-    xt, yt, wt, ht = target.x, target.y, target.w, target.h
-    xr, yr, wr, hr = reference.x, reference.y, reference.w, reference.h
-    if category is RelationCategory.RIGHT:
-        return xt > xr and xt + wt > xr + wr
-    if category is RelationCategory.LEFT:
-        return xt < xr and xt + wt < xr + wr
-    if category is RelationCategory.ON_TOP:
-        return xt > xr and xt + wt < xr + wr
-    if category is RelationCategory.AT_BOTTOM:
-        return xt < xr and xt + wt > xr + wr
-    if category is RelationCategory.IN_FRONT:
-        return yt > yr and yt + ht > yr + hr
-    if category is RelationCategory.BEHIND:
-        return yt < yr and yt + ht < yr + hr
-    raise ValueError(f"unknown relation category: {category!r}")
+    axis, near, far = _RULES[category]
+    d_near, d_far = (_edge_offsets(target.y, target.h, reference.y, reference.h) if axis
+                     else _edge_offsets(target.x, target.w, reference.x, reference.w))
+    return near * d_near > 0 and far * d_far > 0
 
 
 def rule_relations(target: BoundingBox, reference: BoundingBox) -> set[RelationCategory]:
     """All categories whose rule fires for the ordered pair."""
-    return {cat for cat in CATEGORIES if rule_holds(target, reference, cat)}
-
-
-def _margin(target: BoundingBox, reference: BoundingBox, category: RelationCategory,
-            image_width: float, image_height: float) -> float:
-    # Smallest slack among the two strict inequalities, normalized so the
-    # x and y axes are comparable across image aspect ratios.
-    xt, yt, wt, ht = target.x, target.y, target.w, target.h
-    xr, yr, wr, hr = reference.x, reference.y, reference.w, reference.h
-    if category is RelationCategory.RIGHT:
-        return min(xt - xr, (xt + wt) - (xr + wr)) / image_width
-    if category is RelationCategory.LEFT:
-        return min(xr - xt, (xr + wr) - (xt + wt)) / image_width
-    if category is RelationCategory.ON_TOP:
-        return min(xt - xr, (xr + wr) - (xt + wt)) / image_width
-    if category is RelationCategory.AT_BOTTOM:
-        return min(xr - xt, (xt + wt) - (xr + wr)) / image_width
-    if category is RelationCategory.IN_FRONT:
-        return min(yt - yr, (yt + ht) - (yr + hr)) / image_height
-    return min(yr - yt, (yr + hr) - (yt + ht)) / image_height
+    return set(rule_margins(target, reference, 1.0, 1.0))
 
 
 def rule_margins(target: BoundingBox, reference: BoundingBox, image_width: float,
                  image_height: float) -> dict[RelationCategory, float]:
-    """Normalized slack of every firing rule, keyed by category."""
-    return {cat: _margin(target, reference, cat, image_width, image_height)
-            for cat in CATEGORIES if rule_holds(target, reference, cat)}
+    """Normalized slack of every firing rule, keyed by category: the smaller signed
+    offset over the image side of the rule's axis, so x and y margins compare."""
+    d = (_edge_offsets(target.x, target.w, reference.x, reference.w)
+         + _edge_offsets(target.y, target.h, reference.y, reference.h))
+    slacks = ((cat, axis, min(near * d[2 * axis], far * d[2 * axis + 1]))
+              for cat, (axis, near, far) in _RULES.items())
+    sides = (image_width, image_height)
+    return {cat: slack / sides[axis] for cat, axis, slack in slacks if slack > 0}
 
 
 def rule_table(targets, references, image_width: float, image_height: float) -> np.ndarray:
-    """Every rule's normalized margin for broadcast (..., 4) pixel (x, y, w, h) boxes.
-
-    Returns (..., 6) in canonical category order, NaN where the rule does not
-    hold; each entry equals ``rule_margins`` bit for bit.
-    """
+    """Every rule's normalized margin for broadcast (..., 4) pixel (x, y, w, h) boxes:
+    (..., 6) in canonical category order, NaN where the rule does not hold, each
+    entry equal to ``rule_margins`` bit for bit."""
     t, r = np.asarray(targets, dtype=float), np.asarray(references, dtype=float)
-    xt, yt, wt, ht = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-    xr, yr, wr, hr = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
-    # negating a difference is exact, so -dx0 equals xr - xt bit for bit
-    dx0, dx1 = xt - xr, (xt + wt) - (xr + wr)
-    dy0, dy1 = yt - yr, (yt + ht) - (yr + hr)
-    slack = np.stack([np.minimum(dx0, dx1), np.minimum(-dx0, -dx1), np.minimum(dx0, -dx1),
-                      np.minimum(-dx0, dx1), np.minimum(dy0, dy1), np.minimum(-dy0, -dy1)], axis=-1)
-    # both strict inequalities hold exactly when their smaller slack is positive
-    scale = np.array([image_width] * 4 + [image_height] * 2, dtype=float)
-    return np.where(slack > 0, slack / scale, np.nan)
+    d = (_edge_offsets(t[..., 0], t[..., 2], r[..., 0], r[..., 2])
+         + _edge_offsets(t[..., 1], t[..., 3], r[..., 1], r[..., 3]))
+    signed = {1.0: d, -1.0: [-offset for offset in d]}
+    slack = np.stack([np.minimum(signed[near][2 * axis], signed[far][2 * axis + 1])
+                      for axis, near, far in _RULES.values()], axis=-1)
+    sides = np.array([(image_width, image_height)[a] for a, _, _ in _RULES.values()], float)
+    return np.where(slack > 0, slack / sides, np.nan)
 
 
 def dominant_category(target: BoundingBox, reference: BoundingBox,
@@ -89,11 +70,4 @@ def dominant_category(target: BoundingBox, reference: BoundingBox,
     with the larger normalized margin wins, ties going to canonical order.
     """
     margins = rule_margins(target, reference, image_width, image_height)
-    best: RelationCategory | None = None
-    best_margin = 0.0
-    for cat in CATEGORIES:
-        margin = margins.get(cat)
-        if margin is not None and (best is None or margin > best_margin):
-            best = cat
-            best_margin = margin
-    return best
+    return max(margins, key=lambda cat: (margins[cat], -cat.index), default=None)

@@ -56,6 +56,8 @@ PHRASE_FRAGMENTS: dict[RelationCategory, str] = {
     RelationCategory.IN_FRONT: "in front of",
     RelationCategory.BEHIND: "behind",
 }
+# "The <target type> <fragment> the <reference type>"; parse_phrase reads the same template.
+PHRASE_TEMPLATE = "The {} {} the {}"
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ class PipelineConfig:
 
 def render_phrase(target: SceneObject, reference: SceneObject, category: RelationCategory) -> str:
     """Deterministic surface template for one relation."""
-    return f"The {target.type_name} {PHRASE_FRAGMENTS[category]} the {reference.type_name}"
+    return PHRASE_TEMPLATE.format(target.type_name, PHRASE_FRAGMENTS[category], reference.type_name)
 
 
 # --- strict scene JSON schema ------------------------------------------------

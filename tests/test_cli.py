@@ -294,6 +294,22 @@ class TestCompareAndOracle:
             doc["ours"]["no_expression"] == 12
         assert "agreement" in capsys.readouterr().out
 
+    def test_compare_type_name_holding_a_fragment(self, tmp_path, capsys, model_files):
+        """A type named "shelf to the right of the table" makes a phrase with two
+        fragments; the judge keeps the one reading whose types occur in the scene."""
+        rpn_path, rin_path = model_files
+        corpus = tmp_path / "corpus.jsonl"
+        write_scenes(str(corpus), [make_scene([
+            (0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
+            (2, "cup", (75, 40, 10, 10))])])
+        report_path = tmp_path / "report.json"
+        code = main(["compare", str(corpus), "--rpn", rpn_path, "--rin", rin_path,
+                     "--out", str(report_path)])
+        assert code == 0, capsys.readouterr().err
+        records = json.loads(report_path.read_text())["records"]
+        assert [r["ours"]["phrase"] for r in records if r["target_id"] == 0] == [
+            "The cup to the left of the shelf to the right of the table"]
+
     def test_eval_oracle_generated_scenes(self, capsys, model_files):
         rpn_path, rin_path = model_files
         code = main(["eval-oracle", "--rpn", rpn_path, "--rin", rin_path,
@@ -349,6 +365,42 @@ class TestUsage:
         paths = [str(tmp_path / a) if "." in a else a for a in argv]
         assert main(paths + ["--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "rpn", "{tmp}/d.jsonl", "--out", "{tmp}/m.json", "--dropout", "1.5"],
+         "--dropout must lie in [0, 1), got 1.5"),
+        (["train", "rpn", "{tmp}/d.jsonl", "--out", "{tmp}/m.json", "--batch-size", "0"],
+         "--batch-size must be positive, got 0"),
+        (["train", "rin", "{tmp}/d.jsonl", "--out", "{tmp}/m.json", "--epochs", "-3"],
+         "--epochs must be positive, got -3"),
+        (["train", "rin", "{tmp}/d.jsonl", "--out", "{tmp}/m.json", "--patience", "0"],
+         "--patience must be positive, got 0"),
+        (["train", "rpn", "{tmp}/d.jsonl", "--out", "{tmp}/m.json", "--lr", "-0.1"],
+         "--lr must be a positive finite number, got -0.1"),
+        (["train", "rpn", "{tmp}/d.jsonl", "--out", "{tmp}/m.json", "--val-fraction", "1"],
+         "--val-fraction must lie strictly between 0 and 1, got 1.0"),
+        (["describe", "{tmp}/s.json", "--target", "0", "--rpn", "{tmp}/a.json",
+          "--rin", "{tmp}/b.json", "--threshold", "0"],
+         "--threshold must lie strictly between 0 and 1, got 0.0"),
+        (["krreg", "{tmp}/s.json", "--target", "0", "--rpn", "{tmp}/a.json", "--threshold", "1"],
+         "--threshold must lie strictly between 0 and 1, got 1.0"),
+        (["gen-scenes", "--out", "{tmp}/s.jsonl", "--min-objects", "9", "--max-objects", "5"],
+         "--max-objects must lie between --min-objects and the 12 object types, got 5"),
+        (["gen-scenes", "--out", "{tmp}/s.jsonl", "--max-objects", "13"],
+         "--max-objects must lie between --min-objects and the 12 object types, got 13"),
+        (["eval-oracle", "--rpn", "{tmp}/a.json", "--rin", "{tmp}/b.json", "--min-objects", "1"],
+         "--min-objects must be at least 2, got 1"),
+        (["gen-scenes", "--out", "{tmp}/s.jsonl", "--duplicate-prob", "1.5"],
+         "--duplicate-prob must lie in [0, 1], got 1.5"),
+        (["gen-scenes", "--out", "{tmp}/s.jsonl", "--count", "0"], "--count must be positive, got 0"),
+        (["gen-data", "rpn", "--out", "{tmp}/d.jsonl", "-n", "0"], "-n must be positive, got 0"),
+        (["extract-vg", "rin", "{tmp}/a.json", "--out", "{tmp}/d.jsonl", "--cap", "0"],
+         "--cap must be positive, got 0"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v.split()[0].lstrip("-"))
+    def test_out_of_range_flag_named(self, tmp_path, capsys, argv, message):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
     def test_extract_vg_missing_file(self, tmp_path, capsys):

@@ -13,8 +13,9 @@ import pytest
 from refexp import datagen
 from refexp.datagen import (DEFAULT_PREDICATE_SYNONYMS, DEFAULT_TYPE_POOL, RIN_FAR_DISTANCE,
                             RIN_NEAR_DISTANCE, RPN_MARGIN_GAP, RinSample, RpnSample, SceneGenSpec,
-                            extract_rin_dataset, generate_scenes, normalize_predicate,
-                            read_vg_annotations, synth_rin_dataset, synth_rpn_dataset)
+                            extract_rin_dataset, extract_rpn_dataset, generate_scenes,
+                            normalize_predicate, read_vg_annotations, synth_rin_dataset,
+                            synth_rpn_dataset)
 from refexp.networks import encode_pair, encode_relation
 from refexp.rules import rule_holds, rule_margins
 from refexp.scene import CATEGORIES, BoundingBox, Scene, SceneObject
@@ -149,6 +150,24 @@ def reference_synth_rin(spec, n, budget=200_000):
         return None, drawn
     return [sample for cat in CATEGORIES for label in (True, False)
             for sample in pools[(cat, label)]], drawn
+
+
+def reference_extract_rpn(path, per_class_cap=990, seed=0):
+    pools = {cat: [] for cat in CATEGORIES}
+    for image in read_vg_annotations(path):
+        for rel in image["relationships"]:
+            cat = DEFAULT_PREDICATE_SYNONYMS.get(normalize_predicate(rel["predicate"]))
+            if cat is None:
+                continue
+            subject = datagen._clamped(rel["subject"], image["width"], image["height"])
+            reference = datagen._clamped(rel["object"], image["width"], image["height"])
+            if subject is None or reference is None:
+                continue
+            scene = Scene(image["width"], image["height"],
+                          (SceneObject(0, "subject", subject), SceneObject(1, "object", reference)))
+            pools[cat].append(RpnSample(encode_pair(scene, 0, 1), cat))
+    rng = np.random.default_rng(seed)
+    return [sample for cat in CATEGORIES for sample in datagen._capped(rng, pools[cat], per_class_cap)]
 
 
 def reference_extract_rin(path, per_class_cap=2057, seed=0):
@@ -307,7 +326,8 @@ def test_rin_budget_edge_and_scene_draws(monkeypatch):
 # --- annotation extraction -------------------------------------------------------
 
 def annotation_file(tmp_path):
-    """Two images whose relationships share, repeat and mirror boxes."""
+    """Two images whose relationships share, repeat and mirror boxes; one box lies
+    outside its image and one appears only in an unmapped relationship."""
     a = {"x": 10, "y": 10, "w": 20, "h": 20}
     b = {"x": 50, "y": 40, "w": 20, "h": 30}
     c = {"x": 15, "y": 70, "w": 60, "h": 20}
@@ -320,6 +340,7 @@ def annotation_file(tmp_path):
             {"predicate": "behind", "subject": a, "object": c},
             {"predicate": "on", "subject": a, "object": wide},
             {"predicate": "holding", "subject": c, "object": b},
+            {"predicate": "holding", "subject": a, "object": {"x": 80, "y": 5, "w": 10, "h": 10}},
             {"predicate": "left of", "subject": a, "object": dict(a)},
             {"predicate": "under", "subject": wide, "object": {"x": 90, "y": 90, "w": 40, "h": 40}},
         ]},
@@ -328,11 +349,21 @@ def annotation_file(tmp_path):
              "object": {"x": 4, "y": 2, "w": 10, "h": 10}},
             {"predicate": "in front of", "subject": {"x": 4, "y": 30, "w": 10, "h": 10},
              "object": {"x": 40, "y": 2, "w": 10, "h": 10}},
+            {"predicate": "behind", "subject": {"x": 70, "y": 2, "w": 10, "h": 10},
+             "object": {"x": 40, "y": 2, "w": 10, "h": 10}},
         ]},
     ]
     path = tmp_path / "ann.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.mark.parametrize("cap", [990, 1])
+def test_extract_rpn_equals_scalar_loop(tmp_path, cap):
+    path = annotation_file(tmp_path)
+    samples = extract_rpn_dataset(path, per_class_cap=cap, seed=5)
+    assert {s.label for s in samples} >= {CATEGORIES[1], CATEGORIES[4]}
+    assert_same_samples(samples, reference_extract_rpn(path, per_class_cap=cap, seed=5))
 
 
 @pytest.mark.parametrize("cap", [2057, 2])

@@ -24,7 +24,17 @@ class TestParsePhrase:
     def test_round_trip_each_category(self, category):
         scene = make_scene([(0, "book", (0, 0, 5, 5)), (1, "sports ball", (10, 10, 5, 5))])
         phrase = render_phrase(scene.object_by_id(0), scene.object_by_id(1), category)
-        assert parse_phrase(phrase) == ("book", category, "sports ball")
+        assert parse_phrase(phrase) == [("book", category, "sports ball")]
+
+    def test_every_reading_of_a_type_holding_a_fragment(self):
+        phrase = "The cup to the left of the shelf to the left of the table behind the bed"
+        assert parse_phrase(phrase) == [
+            ("cup", R.LEFT, "shelf to the left of the table behind the bed"),
+            ("cup to the left of the shelf", R.LEFT, "table behind the bed"),
+            ("cup to the left of the shelf to the left of the table", R.BEHIND, "bed")]
+        # two occurrences of " behind the " sharing a space
+        assert parse_phrase("The cup behind the behind the bed") == [
+            ("cup", R.BEHIND, "behind the bed"), ("cup behind the", R.BEHIND, "bed")]
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(ValueError):
@@ -62,6 +72,31 @@ class TestAmbiguityOracle:
         claim = ReferringExpression(0, 1, R.LEFT, "The vase to the left of the mouse")
         with pytest.raises(OracleTypeError):
             ambiguity_oracle(scene, claim)
+
+    # "The cup to the left of the shelf to the right of the table" reads as a cup left
+    # of a "shelf to the right of the table" or as a "cup to the left of the shelf"
+    # right of a table; only readings whose two types occur in the scene count
+    @pytest.mark.parametrize("objects, verdict", [
+        ([(0, "cup", (10, 40, 10, 10)), (1, "table", (40, 38, 20, 14))], OracleTypeError),
+        ([(0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
+          (2, "cup", (75, 40, 10, 10))], UNAMBIGUOUS),
+        # both readings count; either one alone would single out object 0
+        ([(0, "cup to the left of the shelf", (75, 40, 10, 10)), (1, "table", (40, 38, 20, 14)),
+          (2, "cup", (10, 40, 10, 10)), (3, "shelf to the right of the table", (90, 5, 5, 5))],
+         AMBIGUOUS),
+        ([(0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
+          (2, "cup to the left of the shelf", (75, 40, 10, 10)), (3, "table", (90, 5, 5, 5))],
+         AMBIGUOUS),
+    ], ids=["no-reading", "one-reading", "two-readings-right-fits", "two-readings-left-fits"])
+    def test_type_names_holding_a_fragment(self, objects, verdict):
+        scene = make_scene(objects)
+        claim = ReferringExpression(
+            0, 1, R.LEFT, "The cup to the left of the shelf to the right of the table")
+        if verdict is OracleTypeError:
+            with pytest.raises(OracleTypeError):
+                ambiguity_oracle(scene, claim)
+        else:
+            assert ambiguity_oracle(scene, claim) == verdict
 
     def test_same_type_pair_can_still_be_unambiguous(self):
         scene = make_scene([(0, "cup", (10, 40, 10, 10)), (1, "cup", (50, 40, 10, 10))])

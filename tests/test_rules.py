@@ -1,7 +1,7 @@
 """Rule-table behavior, including the x-axis containment quirk kept verbatim."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from refexp.rules import (CATEGORIES, dominant_category, rule_holds, rule_margins, rule_relations,
                           rule_table)
@@ -92,7 +92,64 @@ def test_dominant_none_when_nothing_fires():
     assert dominant_category(box(1, 1, 2, 2), box(1, 1, 2, 2), 100, 100) is None
 
 
-# --- the vectorized table against the scalar rules ------------------------------
+# --- every rule function against an independent transcription -------------------
+
+
+def _independent_holds(target, reference, category):
+    xt, yt, wt, ht = target.x, target.y, target.w, target.h
+    xr, yr, wr, hr = reference.x, reference.y, reference.w, reference.h
+    if category is RelationCategory.RIGHT:
+        return xt > xr and xt + wt > xr + wr
+    if category is RelationCategory.LEFT:
+        return xt < xr and xt + wt < xr + wr
+    if category is RelationCategory.ON_TOP:
+        return xt > xr and xt + wt < xr + wr
+    if category is RelationCategory.AT_BOTTOM:
+        return xt < xr and xt + wt > xr + wr
+    if category is RelationCategory.IN_FRONT:
+        return yt > yr and yt + ht > yr + hr
+    if category is RelationCategory.BEHIND:
+        return yt < yr and yt + ht < yr + hr
+    raise ValueError(f"unknown relation category: {category!r}")
+
+
+def _independent_margin(target, reference, category, image_width, image_height):
+    # Smallest slack among the two strict inequalities, normalized so the
+    # x and y axes are comparable across image aspect ratios.
+    xt, yt, wt, ht = target.x, target.y, target.w, target.h
+    xr, yr, wr, hr = reference.x, reference.y, reference.w, reference.h
+    if category is RelationCategory.RIGHT:
+        return min(xt - xr, (xt + wt) - (xr + wr)) / image_width
+    if category is RelationCategory.LEFT:
+        return min(xr - xt, (xr + wr) - (xt + wt)) / image_width
+    if category is RelationCategory.ON_TOP:
+        return min(xt - xr, (xr + wr) - (xt + wt)) / image_width
+    if category is RelationCategory.AT_BOTTOM:
+        return min(xr - xt, (xt + wt) - (xr + wr)) / image_width
+    if category is RelationCategory.IN_FRONT:
+        return min(yt - yr, (yt + ht) - (yr + hr)) / image_height
+    return min(yr - yt, (yr + hr) - (yt + ht)) / image_height
+
+
+def independent_margins(target, reference, image_width, image_height) -> dict:
+    """The six rules as plain if-chains, coded apart from the table in refexp.rules."""
+    return {cat: _independent_margin(target, reference, cat, image_width, image_height)
+            for cat in CATEGORIES if _independent_holds(target, reference, cat)}
+
+
+def independent_dominant(target, reference, image_width, image_height):
+    margins = independent_margins(target, reference, image_width, image_height)
+    best, best_margin = None, 0.0
+    for cat in CATEGORIES:
+        margin = margins.get(cat)
+        if margin is not None and (best is None or margin > best_margin):
+            best, best_margin = cat, margin
+    return best
+
+
+def bits(margins: dict) -> dict:
+    return {cat: np.float64(m).tobytes() for cat, m in margins.items()}
+
 
 grid = st.integers(min_value=0, max_value=12).map(float)
 grid_sides = st.integers(min_value=1, max_value=6).map(float)
@@ -101,18 +158,30 @@ mixed_boxes = st.one_of(st.builds(BoundingBox, grid, grid, grid_sides, grid_side
 image_sizes = st.sampled_from([(640.0, 480.0), (1.0, 1.0), (37.0, 53.0), (12, 7)])
 
 
+@given(mixed_boxes, mixed_boxes, image_sizes)
+@example(box(10, 10, 5, 5), box(0, 0, 5, 5), (1.0, 1.0))  # right and in front tie
+@example(box(0, 0, 5, 5), box(10, 10, 5, 5), (1.0, 1.0))  # left and behind tie
+def test_scalar_rules_equal_independent_bit_for_bit(a, b, size):
+    expected = independent_margins(a, b, *size)
+    assert bits(rule_margins(a, b, *size)) == bits(expected)
+    assert list(rule_margins(a, b, *size)) == list(expected)  # canonical order
+    assert rule_relations(a, b) == set(expected)
+    assert [rule_holds(a, b, cat) for cat in CATEGORIES] == [cat in expected for cat in CATEGORIES]
+    assert dominant_category(a, b, *size) is independent_dominant(a, b, *size)
+
+
 @given(st.lists(mixed_boxes, min_size=1, max_size=7), image_sizes)
 def test_rule_table_equals_scalar_rules_bit_for_bit(box_list, size):
     box_list = box_list + box_list[:1]  # every list holds an identical pair
     width, height = size
     pixels = np.array([(b.x, b.y, b.w, b.h) for b in box_list])
     table = rule_table(pixels[:, None], pixels[None, :], width, height)
-    expected = np.array([[[rule_margins(a, b, width, height).get(cat, np.nan) for cat in CATEGORIES]
-                          for b in box_list] for a in box_list])
+    expected = np.array([[[independent_margins(a, b, width, height).get(cat, np.nan)
+                           for cat in CATEGORIES] for b in box_list] for a in box_list])
     holds = np.array([[[rule_holds(a, b, cat) for cat in CATEGORIES] for b in box_list]
                       for a in box_list])
     assert table.shape == (len(box_list), len(box_list), len(CATEGORIES))
-    np.testing.assert_array_equal(table, expected)
+    assert table.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(~np.isnan(table), holds)
 
 
@@ -123,5 +192,5 @@ def test_rule_table_single_pair_and_flat_batch(a, b):
     batch = rule_table(pair, pair[::-1], 640.0, 480.0)
     assert single.shape == (len(CATEGORIES),)
     np.testing.assert_array_equal(batch[0], single)
-    np.testing.assert_array_equal(
-        batch[1], [rule_margins(b, a, 640.0, 480.0).get(cat, np.nan) for cat in CATEGORIES])
+    expected = [independent_margins(b, a, 640.0, 480.0).get(cat, np.nan) for cat in CATEGORIES]
+    assert batch[1].tobytes() == np.array(expected).tobytes()
