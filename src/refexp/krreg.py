@@ -12,7 +12,6 @@ value, not an error.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from .mlp import MlpModel
 # encode_pair is not called here; perfbench/tracing.py patches refexp.krreg.encode_pair
@@ -33,17 +32,17 @@ def _ranked_landmarks(scene: Scene, target_id: int) -> list[tuple[int, float]]:
     rank is always finite; equal ranks fall to the lower id.
     """
     target = scene.object_by_id(target_id)
-    type_counts = Counter(o.type_name for o in scene.objects)
+    ids, types, type_counts = scene.type_codes
     w, h = scene.image_width, scene.image_height
     tx, ty = target.box.center()
     ranked = []
-    for landmark in scene.objects:
+    for landmark, code in zip(map(scene.object_by_id, ids), types.tolist()):
         if landmark.type_name == target.type_name:
             continue
         area = (landmark.box.w / w) * (landmark.box.h / h)
         lx, ly = landmark.box.center()
         distance = math.hypot((tx - lx) / w, (ty - ly) / h)
-        count = type_counts[landmark.type_name] - 1
+        count = type_counts[code] - 1
         ranked.append((landmark.id, area / (max(distance, DISTANCE_FLOOR) * max(count, 1))))
     ranked.sort(key=lambda entry: (-entry[1], entry[0]))
     return ranked
@@ -58,9 +57,9 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
     """
     validate_rpn(rpn)
     target = scene.object_by_id(target_id)
-    probabilities = presence_scores(rpn, scene) if scored is None else scored.probabilities
-    present = probabilities > cfg.presence_threshold
-    ids = scene.object_ids()
+    ids = scene.object_ids() if scored is None else scored.ids
+    present = (presence_scores(rpn, scene) > cfg.presence_threshold if scored is None
+               else scored.present(cfg.presence_threshold))
     t = ids.index(target_id)
     # distractors are the target's type-mates; a landmark's type holds its same-type landmarks
     distinct = dict(zip(ids, distinct_relations(scene, ids, t, present[t], present).tolist()))

@@ -94,9 +94,8 @@ class ScoredScene:
     ``where`` and ``above`` list relations in (target, reference, category) order.
     ``pending`` is the mask of confidences not scored yet and the function that
     scores them, in mask order; reading any of them (``confidences``, a ``where``
-    or ``confidences_at`` mask) scores them all. Both arrays are read-only,
-    because the selection stages computed from them are memoized here, per
-    presence threshold, by ``build_candidate_sets``.
+    or ``confidences_at`` mask) scores them all. Both arrays are read-only, because
+    what all the scene's targets read is derived once per threshold in ``memo``.
     """
 
     def __init__(self, ids, probabilities: np.ndarray, confidences: np.ndarray,
@@ -106,7 +105,11 @@ class ScoredScene:
         self._confidences = confidences
         self._pending = pending
         probabilities.flags.writeable = confidences.flags.writeable = False
-        self._selections: dict[float, tuple] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def memo(self, key: tuple, build):
+        """``build()`` on the first call with ``key``, the same object on every later one."""
+        return self._memo[key] if key in self._memo else self._memo.setdefault(key, build())
 
     def confidences_at(self, mask: np.ndarray | None = None) -> np.ndarray:
         """The confidences array. The pending entries are scored first if the
@@ -124,16 +127,28 @@ class ScoredScene:
     def confidences(self) -> np.ndarray:
         return self.confidences_at()
 
-    def where(self, mask: np.ndarray) -> tuple[SpatialRelation, ...]:
-        """The relations at the true entries of an (n, n, 6) mask, in index order."""
-        ids = self.ids
+    def where(self, mask: np.ndarray, row: int | None = None) -> tuple[SpatialRelation, ...]:
+        """The relations at the true entries of an (n, n, 6) mask, in index order; with
+        ``row``, of target ``ids[row]``'s (n, 6) mask, scoring any pending confidence."""
+        ids, index = self.ids, [axis.tolist() for axis in np.nonzero(mask)]
+        if row is None:
+            probabilities, confidences = self.probabilities, self.confidences_at(mask)
+        else:
+            probabilities, confidences = self.probabilities[row], self.confidences[row]
+            index.insert(0, [row] * len(index[0]))
         return tuple(SpatialRelation(ids[a], ids[b], CATEGORIES[k], p, q) for a, b, k, p, q in zip(
-            *(axis.tolist() for axis in np.nonzero(mask)),
-            self.probabilities[mask].tolist(), self.confidences_at(mask)[mask].tolist()))
+            *index, probabilities[mask].tolist(), confidences[mask].tolist()))
+
+    def present(self, threshold: float) -> np.ndarray:
+        """The read-only (n, n, 6) mask of probabilities strictly above ``threshold``."""
+        if ("present", threshold) not in self._memo:
+            self._memo["present", threshold] = mask = self.probabilities > threshold  # NaN is False
+            mask.flags.writeable = False
+        return self._memo["present", threshold]
 
     def above(self, threshold: float) -> tuple[SpatialRelation, ...]:
-        """The relations with probability strictly above ``threshold``."""
-        return self.where(self.probabilities > threshold)  # NaN compares False
+        """The relations with probability strictly above ``threshold``, built once."""
+        return self.memo(("above", threshold), lambda: self.where(self.present(threshold)))
 
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.probabilities)))
@@ -143,13 +158,14 @@ def distinct_relations(scene: Scene, ids, t: int, own: np.ndarray, others: np.nd
     """The entries of row ``t``'s (n, 6) mask ``own`` that no type-mate of ``ids[t]``
     repeats in the (n, n, 6) mask ``others`` against an object of the reference's
     type: the type-signature test of both the pipeline and the baseline."""
-    codes: dict[str, int] = {}
-    types = np.array([codes.setdefault(scene.object_by_id(oid).type_name, len(codes)) for oid in ids])
+    scene_ids, types, _ = scene.type_codes
+    if tuple(ids) != scene_ids:  # not this scene's own scoring: look each id up
+        types = types[[scene_ids.index(scene.object_by_id(oid).id) for oid in ids]]
     mates = types == types[t]
     mates[t] = False
-    repeated = np.zeros((len(codes), len(CATEGORIES)), dtype=bool)
-    np.logical_or.at(repeated, types, others[mates].any(axis=0))
-    return own & ~repeated[types]
+    if not mates.any():
+        return own
+    return own & ~((types == types[:, None]) @ others[mates].any(axis=0))
 
 
 def _scene_pairs(scene: Scene) -> tuple[list[int], np.ndarray, np.ndarray]:

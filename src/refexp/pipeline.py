@@ -62,9 +62,8 @@ def build_candidate_sets(scored: ScoredScene, target_id: int,
     if target_id not in scored.ids:
         raise UnknownObjectError(f"no object with id {target_id} in the scored scene")
     threshold = cfg.presence_threshold
-    if threshold not in scored._selections:
-        scored._selections[threshold] = _scene_stages(scored, threshold)
-    return RelationSets(*scored._selections[threshold], scored.ids.index(target_id))
+    stages = scored.memo(("stages", threshold), lambda: _scene_stages(scored, threshold))
+    return RelationSets(*stages, scored.ids.index(target_id))
 
 
 def eliminate_ambiguous(sets: RelationSets, scene: Scene) -> tuple[SpatialRelation, ...]:
@@ -72,9 +71,8 @@ def eliminate_ambiguous(sets: RelationSets, scene: Scene) -> tuple[SpatialRelati
     maximum) mirrors type-for-type. One pass, so removals never cascade; only the
     survivors are built as relations."""
     held, t = sets.above_threshold, sets.target
-    survivors = np.zeros_like(sets.best)
-    survivors[t] = distinct_relations(scene, held.ids, t, ~np.isnan(held.probabilities[t]), sets.best)
-    return held.where(survivors)
+    own = ~np.isnan(held.probabilities[t])
+    return held.where(distinct_relations(scene, held.ids, t, own, sets.best), t)
 
 
 def select_relation(candidates) -> SpatialRelation:

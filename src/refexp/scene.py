@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 
@@ -123,6 +125,16 @@ class Scene:
 
     def object_ids(self) -> list[int]:
         return sorted(self._by_id)
+
+    @cached_property
+    def type_codes(self) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
+        """The sorted ids, their types as read-only codes 0, 1, ... in order of first
+        appearance, and the object count of each code; derived once per scene."""
+        ids, index = tuple(sorted(self._by_id)), {}
+        codes = [index.setdefault(self._by_id[i].type_name, len(index)) for i in ids]
+        counts, codes = tuple(map(codes.count, range(len(index)))), np.array(codes, dtype=int)
+        codes.flags.writeable = False
+        return ids, codes, counts
 
 
 @dataclass(frozen=True)

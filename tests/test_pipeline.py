@@ -8,8 +8,8 @@ from refexp.krreg import krreg_describe
 from refexp.networks import score_scene
 from refexp.pipeline import (EmptyCandidatesError, build_candidate_sets, describe,
                              describe_oracle, eliminate_ambiguous, select_relation)
-from refexp.scene import (PipelineConfig, RelationCategory, SpatialRelation, UnknownObjectError,
-                          scene_from_json)
+from refexp.scene import (PipelineConfig, RelationCategory, Scene, SpatialRelation,
+                          UnknownObjectError, scene_from_json)
 
 from helpers import (crowded_scene_doc, full_batch_scored, held_relations, make_scene,
                      mixed_corpus, scored_from_relations, set_fields, two_books_and_mouse)
@@ -324,6 +324,31 @@ class TestDescribe:
         assert got.target_id == target
         assert 0 < len(built) <= above
 
+    @pytest.mark.parametrize("scored_ids", [(0, 1, 999), (0, 1, 2, 999), (0, 999)])
+    def test_scoring_of_another_scene_named(self, rpn_model, rin_model, scored_ids):
+        """A ``scored`` holding an id the scene lacks is named by describe and krreg,
+        also once the scene's own type codes are cached."""
+        scene = two_books_and_mouse()
+        for target in scene.object_ids():
+            krreg_describe(rpn_model, scene, target,
+                           scored=score_scene(rpn_model, rin_model, scene))
+        foreign = scored_from_relations(rel(a, b, R.RIGHT, 0.9, 0.8)
+                                        for a in scored_ids for b in scored_ids if a != b)
+        for method in (lambda: describe(rpn_model, rin_model, scene, 0, scored=foreign),
+                       lambda: krreg_describe(rpn_model, scene, 0, scored=foreign)):
+            with pytest.raises(UnknownObjectError, match="no object with id 999"):
+                method()
+
+    def test_type_codes_follow_the_scored_ids(self, rpn_model, rin_model):
+        """A scoring over some of the scene's objects reads their types, not the
+        types at the same positions of the scene's cached codes."""
+        scene = make_scene([(0, "book", (0, 40, 10, 10)), (1, "book", (40, 40, 10, 10)),
+                            (2, "mouse", (20, 40, 8, 8))])
+        describe(rpn_model, rin_model, scene, 2)  # caches the codes of ids 0, 1, 2
+        partial = scored_from_relations([rel(0, 2, R.RIGHT, 0.9, 0.8), rel(2, 0, R.LEFT, 0.9, 0.8)])
+        got = describe(rpn_model, rin_model, scene, 0, scored=partial)
+        assert got.phrase == "The book to the right of the mouse"
+
     @pytest.mark.parametrize("threshold", [0.2, 0.3, 0.5, 0.7, 0.9])
     def test_split_batches_give_the_full_batch_phrases(self, rpn_model, rin_model, threshold):
         cfg = PipelineConfig(presence_threshold=threshold)
@@ -335,6 +360,62 @@ class TestDescribe:
                                                 scored=split)) == \
                     outcome(lambda: describe(rpn_model, rin_model, scene, target, cfg,
                                              scored=full))
+
+
+class TestSceneInputsShared:
+    """What every target of a scene reads is built once per scoring and threshold."""
+
+    @staticmethod
+    def scenes():
+        return mixed_corpus() + [scene_from_json(crowded_scene_doc(n)) for n in (16, 32)]
+
+    def test_any_read_order_gives_fresh_results(self, rpn_model, rin_model):
+        """Thresholds read in any order from one ScoredScene give what a fresh
+        scoring gives, and a memoized ``above`` tuple is returned as it was."""
+        for scene in self.scenes():
+            shared = score_scene(rpn_model, rin_model, scene)
+            first = {}
+            for threshold in (0.5, 0.3, 0.7, 0.3, 0.5):
+                cfg = PipelineConfig(presence_threshold=threshold)
+                above = first.setdefault(threshold, shared.above(threshold))
+                assert shared.above(threshold) is above
+                assert above == score_scene(rpn_model, rin_model, scene).above(threshold)
+                for target in scene.object_ids():
+                    for method in (describe, describe_oracle):
+                        assert outcome(lambda: method(rpn_model, rin_model, scene, target, cfg,
+                                                      scored=shared)) == \
+                            outcome(lambda: method(rpn_model, rin_model, scene, target, cfg))
+                    assert krreg_describe(rpn_model, scene, target, cfg, scored=shared) == \
+                        krreg_describe(rpn_model, scene, target, cfg)
+            if len(scene.objects) == 32:
+                # the 0.3 reads ran the pending rin batch after above(0.5) was memoized
+                assert shared._pending is None
+
+    def test_each_input_built_once(self, rpn_model, rin_model, monkeypatch):
+        """Describing and twin-checking every target of a 32-object scene from one
+        scoring builds each above-threshold relation once, beyond the survivors,
+        and derives the scene's type codes once."""
+        reference = scene_from_json(crowded_scene_doc(32))
+        scored = score_scene(rpn_model, rin_model, reference)
+        above = int(np.count_nonzero(scored.probabilities > 0.5))
+        survivors = sum(len(eliminate_ambiguous(build_candidate_sets(scored, target), reference))
+                        for target in scored.ids)
+
+        scene = scene_from_json(crowded_scene_doc(32))  # its type codes are not derived yet
+        scored = score_scene(rpn_model, rin_model, scene)
+        built, derived = [], []
+        post_init = SpatialRelation.__post_init__
+        monkeypatch.setattr(SpatialRelation, "__post_init__",
+                            lambda relation: built.append(relation) or post_init(relation))
+        derive = Scene.type_codes.func
+        monkeypatch.setattr(Scene.type_codes, "func", lambda scene: derived.append(1) or derive(scene))
+        for target in scene.object_ids():
+            outcome(lambda: describe(rpn_model, rin_model, scene, target, scored=scored))
+            outcome(lambda: describe_oracle(rpn_model, rin_model, scene, target, scored=scored))
+            krreg_describe(rpn_model, scene, target, scored=scored)
+        assert survivors > 0
+        assert 0 < len(built) <= above + survivors
+        assert len(derived) == 1
 
 
 @st.composite

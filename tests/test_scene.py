@@ -108,6 +108,16 @@ def test_scene_unknown_id():
         scene.object_by_id(9)
 
 
+def test_type_codes_number_types_in_sorted_id_order():
+    scene = make_scene([(5, "cup", (0, 0, 1, 1)), (2, "book", (3, 3, 1, 1)),
+                        (7, "cup", (6, 6, 1, 1))])
+    ids, codes, counts = scene.type_codes
+    assert (ids, codes.tolist(), counts) == ((2, 5, 7), [0, 1, 1], (1, 2))
+    assert scene.type_codes[1] is codes
+    with pytest.raises(ValueError, match="read-only"):
+        codes[0] = 1
+
+
 class TestPipelineConfig:
     def test_threshold_bounds(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
