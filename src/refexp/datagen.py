@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,16 +66,6 @@ class SceneGenSpec:
             raise ValueError("image dimensions must be positive")
 
 
-def _uniforms(rng: np.random.Generator, count: int) -> Callable[[float, float], float]:
-    """Draws like rng.uniform(low, high), from count doubles read in one call.
-
-    NumPy's uniform(low, high) is low + (high - low) * random(), so the values
-    and the stream match count scalar rng.uniform calls bit for bit.
-    """
-    draws = iter(rng.random(count).tolist())
-    return lambda low, high: low + (high - low) * next(draws)
-
-
 def _cluttered_boxes(spec: SceneGenSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One cluttered scene's (n, 4) pixel boxes (x, y, w, h) and type-pool indices."""
     n = int(rng.integers(spec.min_objects, spec.max_objects + 1))
@@ -86,13 +75,13 @@ def _cluttered_boxes(spec: SceneGenSpec, rng: np.random.Generator) -> tuple[np.n
         i, j = rng.choice(n, size=2, replace=False)
         types[j] = types[i]
     W, H = spec.image_width, spec.image_height
-    uniform = _uniforms(rng, 4 * n)
-    boxes = []
-    for _ in range(n):
-        w = uniform(0.05, 0.35) * W
-        h = uniform(0.05, 0.35) * H
-        boxes.append((uniform(0.0, W - w), uniform(0.0, H - h), w, h))
-    return np.array(boxes), types
+    flat = []
+    # the rng.uniform(low, high) draws low + (high - low) * u, from one read of doubles
+    for uw, uh, ux, uy in rng.random((n, 4)).tolist():
+        w = (0.05 + (0.35 - 0.05) * uw) * W
+        h = (0.05 + (0.35 - 0.05) * uh) * H
+        flat += ((W - w) * ux, (H - h) * uy, w, h)
+    return np.array(flat).reshape(n, 4), types
 
 
 def _random_scene(spec: SceneGenSpec, rng: np.random.Generator) -> Scene:
@@ -116,7 +105,7 @@ def _share(total: int, buckets: int) -> list[int]:
 
 
 _SCENE_BUDGET = 200_000
-_BLOCK_STEPS = 128  # scenes drawn per rule-table call in rpn synthesis
+_BLOCK_STEPS = 128  # scenes drawn per rule-table call in synthesis
 
 # emission filters: only clear cases enter the datasets, so the mapping from
 # features to label is single-valued and the learnability bars are honest
@@ -134,33 +123,33 @@ def _archetype_boxes(spec: SceneGenSpec, rng: np.random.Generator, archetype: in
     position and adjacency scale.
     """
     W, H = spec.image_width, spec.image_height
-    uniform = _uniforms(rng, 8 if archetype == 2 else 5)
+    u = rng.random(8 if archetype == 2 else 5).tolist()  # as in _cluttered_boxes
     if archetype == 0:
-        w = uniform(0.04, 0.20) * W
-        h = uniform(0.04, 0.20) * H
-        gap = uniform(0.02, 0.50) * W
-        x0 = uniform(0.0, max(W - 2 * w - gap, 1.0))
-        y = uniform(0.0, H - h)
-        boxes = ((x0, y, w, h), (x0 + w + gap, y, w, h))
+        w = (0.04 + (0.20 - 0.04) * u[0]) * W
+        h = (0.04 + (0.20 - 0.04) * u[1]) * H
+        gap = (0.02 + (0.50 - 0.02) * u[2]) * W
+        x0 = max(W - 2 * w - gap, 1.0) * u[3]
+        y = (H - h) * u[4]
+        flat = (x0, y, w, h, x0 + w + gap, y, w, h)
     elif archetype == 1:
-        w = uniform(0.04, 0.20) * W
-        h = uniform(0.04, 0.20) * H
-        gap = uniform(0.02, 0.50) * H
-        x = uniform(0.0, W - w)
-        y0 = uniform(0.0, max(H - 2 * h - gap, 1.0))
-        boxes = ((x, y0, w, h), (x, y0 + h + gap, w, h))
+        w = (0.04 + (0.20 - 0.04) * u[0]) * W
+        h = (0.04 + (0.20 - 0.04) * u[1]) * H
+        gap = (0.02 + (0.50 - 0.02) * u[2]) * H
+        x = (W - w) * u[3]
+        y0 = max(H - 2 * h - gap, 1.0) * u[4]
+        flat = (x, y0, w, h, x, y0 + h + gap, w, h)
     else:
-        outer_w = uniform(0.22, 0.35) * W
-        slack_l = uniform(0.03, 0.08) * W
-        slack_r = uniform(0.03, 0.08) * W
+        outer_w = (0.22 + (0.35 - 0.22) * u[0]) * W
+        slack_l = (0.03 + (0.08 - 0.03) * u[1]) * W
+        slack_r = (0.03 + (0.08 - 0.03) * u[2]) * W
         inner_w = outer_w - slack_l - slack_r
-        outer_h = uniform(0.22, 0.35) * H
-        inner_h = uniform(0.3, 0.7) * outer_h
-        x0 = uniform(0.0, W - outer_w)
-        y0 = uniform(0.0, H - outer_h)
-        inner_y = y0 + uniform(0.0, outer_h - inner_h)
-        boxes = ((x0, y0, outer_w, outer_h), (x0 + slack_l, inner_y, inner_w, inner_h))
-    return np.array(boxes)
+        outer_h = (0.22 + (0.35 - 0.22) * u[3]) * H
+        inner_h = (0.3 + (0.7 - 0.3) * u[4]) * outer_h
+        x0 = (W - outer_w) * u[5]
+        y0 = (H - outer_h) * u[6]
+        inner_y = y0 + (outer_h - inner_h) * u[7]
+        flat = (x0, y0, outer_w, outer_h, x0 + slack_l, inner_y, inner_w, inner_h)
+    return np.array(flat).reshape(2, 4)
 
 
 def _archetype_pair_scene(spec: SceneGenSpec, rng: np.random.Generator,
@@ -185,6 +174,7 @@ def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
     pools: list[list[RpnSample]] = [[] for _ in CATEGORIES]
     rng = np.random.default_rng(spec.seed)
     W, H = spec.image_width, spec.image_height
+    pairs = 0
     for start in range(0, _SCENE_BUDGET, _BLOCK_STEPS):
         # alternate cluttered scenes with targeted two-box scenes
         drawn = [_cluttered_boxes(spec, rng)[0] if step % 2 == 0
@@ -199,21 +189,23 @@ def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
         first = np.repeat(np.cumsum(sizes) - sizes, sizes)[targets]
         references = first + np.arange(len(targets)) - np.searchsorted(targets, targets)
         references += references >= targets
+        pairs += len(targets)
         # the dominant rule is the largest margin, ties to the lowest category;
         # it is clear when it beats the runner-up (0.0 if none) by the gap
         margins = rule_table(boxes[targets], boxes[references], W, H)
         ranked = np.where(np.isnan(margins), -np.inf, margins)
-        rows = np.arange(len(ranked))
         dominant = ranked.argmax(axis=1)
-        top = ranked[rows, dominant]
-        ranked[rows, dominant] = -np.inf
-        clear = ~(top - np.maximum(ranked.max(axis=1), 0.0) < RPN_MARGIN_GAP)
+        runner_up, top = np.sort(ranked, axis=1)[:, -2:].T
+        clear = ~(top - np.maximum(runner_up, 0.0) < RPN_MARGIN_GAP)
         for c, cat in enumerate(CATEGORIES):
-            picked = np.flatnonzero(clear & (dominant == c))[:quotas[c] - len(pools[c])]
-            features = np.hstack([boxes[targets[picked]], boxes[references[picked]]])
-            pools[c].extend(RpnSample(row, cat) for row in
-                            np.clip(features / (W, H, W, H, W, H, W, H), 0.0, 1.0))
+            if len(pools[c]) < quotas[c]:
+                picked = np.flatnonzero(clear & (dominant == c))[:quotas[c] - len(pools[c])]
+                features = np.hstack([boxes[targets[picked]], boxes[references[picked]]])
+                pools[c].extend(RpnSample(row, cat) for row in
+                                np.clip(features / (W, H, W, H, W, H, W, H), 0.0, 1.0))
         if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
+            logger.debug("rpn synthesis: %d samples from %d scenes, %d rule_table calls, "
+                         "%d pairs scored", n, start + len(drawn), start // _BLOCK_STEPS + 1, pairs)
             return [sample for pool in pools for sample in pool]
     raise RuntimeError("scene budget exhausted before the dataset was balanced")
 
@@ -225,7 +217,8 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     target (normalized center distance) is informative; other satisfiers are
     not. Only clear cases are emitted: informative ones within
     RIN_NEAR_DISTANCE, uninformative ones beyond RIN_FAR_DISTANCE. The band
-    between keeps the two labels apart in feature space.
+    between keeps the two labels apart in feature space. Blocks of scenes are
+    scored as in synth_rpn_dataset, padded with NaN boxes that satisfy no rule.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -235,27 +228,34 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     one_hot = np.eye(len(CATEGORIES))
     rng = np.random.default_rng(spec.seed)
     W, H = spec.image_width, spec.image_height
-    for _ in range(_SCENE_BUDGET):
-        boxes, _ = _cluttered_boxes(spec, rng)
-        holds = ~np.isnan(rule_table(boxes[:, None], boxes[None, :], W, H))
-        cx, cy = (boxes[:, :2] + boxes[:, 2:] / 2.0).T
-        distance = np.hypot((cx[:, None] - cx) / W, (cy[:, None] - cy) / H)
-        # nearest satisfier per (target, category), ties to the lowest id
-        nearest = np.where(holds, distance[:, :, None], np.inf).argmin(axis=1)
-        label = nearest[:, None, :] == np.arange(len(boxes))[:, None]
-        clear = np.where(label, ~(distance > RIN_NEAR_DISTANCE)[:, :, None],
-                         ~(distance < RIN_FAR_DISTANCE)[:, :, None])
-        targets, cats, references = np.nonzero((holds & clear).transpose(0, 2, 1))
-        informative = label[targets, references, cats]
+    pairs = 0
+    for start in range(0, _SCENE_BUDGET, _BLOCK_STEPS):
+        drawn = [_cluttered_boxes(spec, rng)[0] for _ in range(min(_BLOCK_STEPS, _SCENE_BUDGET - start))]
+        sizes = np.array([len(b) for b in drawn])
+        pairs += int(sizes @ (sizes - 1))
+        ids = np.arange(sizes.max())
+        boxes = np.full((len(drawn), len(ids), 4), np.nan)
+        boxes[ids < sizes[:, None]] = np.concatenate(drawn)
+        holds = ~np.isnan(rule_table(boxes[:, :, None], boxes[:, None], W, H))
+        cx, cy = np.moveaxis(boxes[..., :2] + boxes[..., 2:] / 2.0, -1, 0)
+        distance = np.hypot((cx[:, :, None] - cx[:, None]) / W, (cy[:, :, None] - cy[:, None]) / H)
+        # nearest satisfier per (scene, target, category), ties to the lowest id
+        nearest = np.where(holds, distance[..., None], np.inf).argmin(axis=2)
+        label = nearest[:, :, None] == ids[:, None]
+        clear = np.where(label, ~(distance > RIN_NEAR_DISTANCE)[..., None],
+                         ~(distance < RIN_FAR_DISTANCE)[..., None])
+        # candidates in (scene, target, category, reference) order
+        scenes, targets, cats, references = np.nonzero((holds & clear).transpose(0, 1, 3, 2))
+        slots = 2 * cats + ~label[scenes, targets, references, cats]
         # the rows encode_relation builds: clamped unit boxes, then the one-hot category
         unit = np.clip(boxes / (W, H, W, H), 0.0, 1.0)
-        for target, c, reference, is_informative in zip(
-                targets.tolist(), cats.tolist(), references.tolist(), informative.tolist()):
-            slot = 2 * c + (not is_informative)
-            if len(pools[slot]) < quotas[slot]:
-                pools[slot].append(RinSample(
-                    np.concatenate((unit[target], unit[reference], one_hot[c])), is_informative))
+        features = np.hstack([unit[scenes, targets], unit[scenes, references], one_hot[cats]])
+        for slot, pool in enumerate(pools):
+            picked = np.flatnonzero(slots == slot)[:quotas[slot] - len(pool)]
+            pool.extend(RinSample(row, slot % 2 == 0) for row in features[picked])
         if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
+            logger.debug("rin synthesis: %d samples from %d scenes, %d rule_table calls, "
+                         "%d pairs scored", n, start + len(drawn), start // _BLOCK_STEPS + 1, pairs)
             return [sample for pool in pools for sample in pool]
     raise RuntimeError("scene budget exhausted before the dataset was balanced")
 

@@ -66,7 +66,7 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
 
     for landmark, _ in _ranked_landmarks(scene, target_id):
         for cat in RELATION_PRIORITY:
-            if distinct[landmark][cat.index]:
+            if landmark in distinct and distinct[landmark][cat.index]:
                 return ReferringExpression(target_id, landmark, cat,
                                            render_phrase(target, scene.object_by_id(landmark), cat))
     return None

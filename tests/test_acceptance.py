@@ -8,6 +8,7 @@ session fixtures from conftest.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ def test_criterion_09_run_determinism(capsys, tmp_path):
                      "--style", "mirrored", "--seed", "8"]) == 0
         assert main(["compare", corpus, "--rpn", rpn_w, "--rin", rin_w,
                      "--out", rep]) == 0
-        return [open(p, "rb").read() for p in (rpn_w, rin_w, rep)]
+        return [Path(p).read_bytes() for p in (rpn_w, rin_w, rep)]
 
     first = one_run(str(tmp_path / "a"))
     second = one_run(str(tmp_path / "b"))

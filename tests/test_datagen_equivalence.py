@@ -6,6 +6,7 @@ and sample order exactly, so datasets written for a seed never change.
 """
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from refexp.datagen import (DEFAULT_PREDICATE_SYNONYMS, DEFAULT_TYPE_POOL, RIN_F
                             normalize_predicate, read_vg_annotations, synth_rin_dataset,
                             synth_rpn_dataset)
 from refexp.networks import encode_pair, encode_relation
-from refexp.rules import rule_holds, rule_margins
+from refexp.rules import rule_holds, rule_margins, rule_table
 from refexp.scene import CATEGORIES, BoundingBox, Scene, SceneObject
 
 
@@ -312,15 +313,45 @@ def test_rpn_budget_edge_and_scene_draws(monkeypatch):
 
 def test_rin_budget_edge_and_scene_draws(monkeypatch):
     spec = SceneGenSpec(seed=4)
-    expected, needed = reference_synth_rin(spec, 31)
+    expected, needed = reference_synth_rin(spec, 250)
+    assert needed > datagen._BLOCK_STEPS  # the edge falls inside a later block
     drawn = count_scene_draws(monkeypatch)
     monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed)
-    assert_same_samples(synth_rin_dataset(spec, 31), expected)
-    assert len(drawn) == needed
+    assert_same_samples(synth_rin_dataset(spec, 250), expected)
+    assert needed <= len(drawn) < needed + datagen._BLOCK_STEPS
     monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed - 1)
-    assert reference_synth_rin(spec, 31, budget=needed - 1)[0] is None
+    assert reference_synth_rin(spec, 250, budget=needed - 1)[0] is None
     with pytest.raises(RuntimeError, match="budget"):
-        synth_rin_dataset(spec, 31)
+        synth_rin_dataset(spec, 250)
+
+
+@pytest.mark.parametrize("spec", SPECS + [
+    SceneGenSpec(seed=5, min_objects=2, max_objects=12, image_width=3.0, image_height=2.0)])
+@pytest.mark.parametrize("synth, reference", [(synth_rpn_dataset, reference_synth_rpn),
+                                              (synth_rin_dataset, reference_synth_rin)])
+def test_block_size_does_not_change_samples(monkeypatch, spec, synth, reference):
+    """Blocks of one scene, of a few mixed sizes (NaN padding in rin) and of more
+    scenes than the dataset needs give the scalar loop's samples."""
+    expected, _ = reference(spec, 61)
+    for steps in (1, 7, 128, 1000):
+        monkeypatch.setattr(datagen, "_BLOCK_STEPS", steps)
+        assert_same_samples(synth(spec, 61), expected)
+
+
+@pytest.mark.parametrize("kind, synth", [("rpn", synth_rpn_dataset), ("rin", synth_rin_dataset)])
+def test_synthesis_logs_its_work_at_debug(monkeypatch, caplog, kind, synth):
+    """One DEBUG line per dataset: samples, scenes drawn, rule_table calls and the
+    ordered pairs of distinct boxes those calls scored."""
+    drawn, calls = count_scene_draws(monkeypatch), []
+    monkeypatch.setattr(datagen, "rule_table", lambda *args: calls.append(args) or rule_table(*args))
+    monkeypatch.setattr(datagen, "_BLOCK_STEPS", 7)
+    with caplog.at_level(logging.DEBUG, logger="refexp.datagen"):
+        samples = synth(SceneGenSpec(seed=2), 40)
+    pairs = sum(len(boxes) * (len(boxes) - 1) for boxes in drawn)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{kind} synthesis: {len(samples)} samples from {len(drawn)} scenes, "
+        f"{len(calls)} rule_table calls, {pairs} pairs scored"]
+    assert len(calls) == -(-len(drawn) // 7) > 1
 
 
 # --- annotation extraction -------------------------------------------------------

@@ -6,9 +6,10 @@ from refexp.datagen import mirrored_duplicate_scenes
 from refexp.krreg import _ranked_landmarks, krreg_describe
 from refexp.networks import presence_scores, score_scene, validate_rpn
 from refexp.pipeline import describe
-from refexp.scene import PipelineConfig, ReferringExpression, RelationCategory, render_phrase
+from refexp.scene import (PipelineConfig, ReferringExpression, RelationCategory, SpatialRelation,
+                          render_phrase)
 
-from helpers import make_scene, mixed_corpus
+from helpers import make_scene, mixed_corpus, scored_from_relations
 
 R = RelationCategory
 # the baseline's fixed order for trying a landmark's present relations
@@ -215,6 +216,18 @@ class TestDescribe:
         got = krreg_describe(rpn_model, scene, 0)
         assert got is not None
         assert got.reference_id == 1
+
+    def test_landmark_the_scoring_lacks_is_skipped(self, rpn_model, rin_model):
+        """A landmark outside ``scored`` has no present relation, so the next one
+        is tried, as describe answers from such a scoring."""
+        scene = make_scene([(0, "book", (10, 10, 50, 50)), (1, "mouse", (500, 10, 50, 50)),
+                            (2, "cup", (70, 10, 100, 100))], width=640, height=480)
+        assert [landmark for landmark, _ in _ranked_landmarks(scene, 0)] == [2, 1]
+        partial = scored_from_relations([SpatialRelation(0, 1, R.LEFT, 0.9, 0.8),
+                                         SpatialRelation(1, 0, R.RIGHT, 0.9, 0.8)])
+        got = krreg_describe(rpn_model, scene, 0, scored=partial)
+        assert got == ReferringExpression(0, 1, R.LEFT, "The book to the left of the mouse")
+        assert describe(rpn_model, rin_model, scene, 0, scored=partial).reference_id == 1
 
     def test_equal_to_set_based_reference(self, rpn_model, rin_model):
         """Fresh and shared-scoring answers both equal the set-based baseline's."""
