@@ -219,6 +219,9 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     RIN_NEAR_DISTANCE, uninformative ones beyond RIN_FAR_DISTANCE. The band
     between keeps the two labels apart in feature space. Blocks of scenes are
     scored as in synth_rpn_dataset, padded with NaN boxes that satisfy no rule.
+    The first block holds one scene per sample (the quotas need about 1.05 per
+    sample) and later ones an eighth of a block, so few scenes are drawn past the
+    last one needed.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -228,9 +231,11 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     one_hot = np.eye(len(CATEGORIES))
     rng = np.random.default_rng(spec.seed)
     W, H = spec.image_width, spec.image_height
-    pairs = 0
-    for start in range(0, _SCENE_BUDGET, _BLOCK_STEPS):
-        drawn = [_cluttered_boxes(spec, rng)[0] for _ in range(min(_BLOCK_STEPS, _SCENE_BUDGET - start))]
+    start = pairs = calls = 0
+    while start < _SCENE_BUDGET:
+        steps = min(8 * _BLOCK_STEPS, n) if start == 0 else max(1, _BLOCK_STEPS // 8)
+        drawn = [_cluttered_boxes(spec, rng)[0] for _ in range(min(steps, _SCENE_BUDGET - start))]
+        start, calls = start + len(drawn), calls + 1
         sizes = np.array([len(b) for b in drawn])
         pairs += int(sizes @ (sizes - 1))
         ids = np.arange(sizes.max())
@@ -255,7 +260,7 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
             pool.extend(RinSample(row, slot % 2 == 0) for row in features[picked])
         if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
             logger.debug("rin synthesis: %d samples from %d scenes, %d rule_table calls, "
-                         "%d pairs scored", n, start + len(drawn), start // _BLOCK_STEPS + 1, pairs)
+                         "%d pairs scored", n, start, calls, pairs)
             return [sample for pool in pools for sample in pool]
     raise RuntimeError("scene budget exhausted before the dataset was balanced")
 

@@ -62,7 +62,7 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
                else scored.present(cfg.presence_threshold))
     t = ids.index(target_id)
     # distractors are the target's type-mates; a landmark's type holds its same-type landmarks
-    distinct = dict(zip(ids, distinct_relations(scene, ids, t, present[t], present).tolist()))
+    distinct = dict(zip(ids, distinct_relations(scene, ids, t, present[t], lambda: present).tolist()))
 
     for landmark, _ in _ranked_landmarks(scene, target_id):
         for cat in RELATION_PRIORITY:

@@ -84,9 +84,9 @@ class MlpModel:
 
     def forward_batch(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
+        if x.ndim != 2 or x.shape[1] != self.weights[0].shape[1]:
             raise DimensionMismatchError(
-                f"expected inputs of dimension {self.layer_dims[0]}, got shape {x.shape}")
+                f"expected inputs of dimension {self.weights[0].shape[1]}, got shape {x.shape}")
         for w, b, act in zip(self.weights, self.biases, self.activations):
             z = x @ w.T
             z += b
@@ -131,14 +131,14 @@ class TrainReport:
 
 
 def _activate(z: np.ndarray, act: str) -> np.ndarray:
+    """``act`` applied to ``z``; softmax works in place, overwriting ``z``."""
     if act == "relu":
         return np.maximum(z, 0.0)
     if act == "sigmoid":
         return _sigmoid(z)
     if act == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        z -= z.max(axis=1, keepdims=True)
+        z /= np.exp(z, out=z).sum(axis=1, keepdims=True)
     return z
 
 
@@ -199,7 +199,7 @@ def _head_grad(logits: np.ndarray, labels: np.ndarray, head: str) -> np.ndarray:
     """Gradient of the mean loss w.r.t. the output logits."""
     n = logits.shape[0]
     if head == "softmax":
-        grad = _activate(logits, "softmax")
+        grad = _activate(logits.copy(), "softmax")
         grad[np.arange(n), labels] -= 1.0
         return grad / n
     if head == "sigmoid":

@@ -26,6 +26,8 @@ RIN_DIMS = (RIN_FEATURE_DIM, 64, 16, 8, 1)
 # (layer widths, activations) of each net: its layer specs and its shape check
 _RPN_SHAPE = (RPN_DIMS, ("relu", "relu", "softmax"))
 _RIN_SHAPE = (RIN_DIMS, ("relu", "relu", "relu", "sigmoid"))
+_ONE_HOT = np.eye(len(CATEGORIES), dtype=bool)  # row c: the one-hot of CATEGORIES[c]
+_ONE_HOT.flags.writeable = False
 
 logger = logging.getLogger(__name__)
 
@@ -94,7 +96,7 @@ class ScoredScene:
     ``where`` and ``above`` list relations in (target, reference, category) order.
     ``pending`` is the mask of confidences not scored yet and the function that
     scores them, in mask order; reading any of them (``confidences``, a ``where``
-    or ``confidences_at`` mask) scores them all. Both arrays are read-only, because
+    mask or a ``confidences_at`` mask) scores them all. Both arrays are read-only, because
     what all the scene's targets read is derived once per threshold in ``memo``.
     """
 
@@ -111,12 +113,13 @@ class ScoredScene:
         """``build()`` on the first call with ``key``, the same object on every later one."""
         return self._memo[key] if key in self._memo else self._memo.setdefault(key, build())
 
-    def confidences_at(self, mask: np.ndarray | None = None) -> np.ndarray:
+    def confidences_at(self, mask: np.ndarray | None = None, row: int | None = None) -> np.ndarray:
         """The confidences array. The pending entries are scored first if the
-        (n, n, 6) ``mask`` touches one of them, or if no mask is given."""
+        (n, n, 6) ``mask`` (with ``row``, row ``row``'s (n, 6) mask) touches one
+        of them, or if no mask is given."""
         if self._pending is not None:
             unscored, score = self._pending
-            if mask is None or (unscored & mask).any():
+            if mask is None or (unscored[... if row is None else row] & mask).any():
                 self._confidences.flags.writeable = True
                 self._confidences[unscored] = score()
                 self._confidences.flags.writeable = False
@@ -129,12 +132,13 @@ class ScoredScene:
 
     def where(self, mask: np.ndarray, row: int | None = None) -> tuple[SpatialRelation, ...]:
         """The relations at the true entries of an (n, n, 6) mask, in index order; with
-        ``row``, of target ``ids[row]``'s (n, 6) mask, scoring any pending confidence."""
+        ``row``, of target ``ids[row]``'s (n, 6) mask. Pending confidences are scored
+        only if the mask touches one."""
         ids, index = self.ids, [axis.tolist() for axis in np.nonzero(mask)]
         if row is None:
             probabilities, confidences = self.probabilities, self.confidences_at(mask)
         else:
-            probabilities, confidences = self.probabilities[row], self.confidences[row]
+            probabilities, confidences = self.probabilities[row], self.confidences_at(mask, row)[row]
             index.insert(0, [row] * len(index[0]))
         return tuple(SpatialRelation(ids[a], ids[b], CATEGORIES[k], p, q) for a, b, k, p, q in zip(
             *index, probabilities[mask].tolist(), confidences[mask].tolist()))
@@ -154,10 +158,11 @@ class ScoredScene:
         return int(np.count_nonzero(~np.isnan(self.probabilities)))
 
 
-def distinct_relations(scene: Scene, ids, t: int, own: np.ndarray, others: np.ndarray) -> np.ndarray:
+def distinct_relations(scene: Scene, ids, t: int, own: np.ndarray, others) -> np.ndarray:
     """The entries of row ``t``'s (n, 6) mask ``own`` that no type-mate of ``ids[t]``
-    repeats in the (n, n, 6) mask ``others`` against an object of the reference's
-    type: the type-signature test of both the pipeline and the baseline."""
+    repeats in the (n, n, 6) mask ``others()`` against an object of the reference's
+    type: the type-signature test of both the pipeline and the baseline. ``others``
+    is called only when ``ids[t]`` has a type-mate."""
     scene_ids, types, _ = scene.type_codes
     if tuple(ids) != scene_ids:  # not this scene's own scoring: look each id up
         types = types[[scene_ids.index(scene.object_by_id(oid).id) for oid in ids]]
@@ -165,7 +170,7 @@ def distinct_relations(scene: Scene, ids, t: int, own: np.ndarray, others: np.nd
     mates[t] = False
     if not mates.any():
         return own
-    return own & ~((types == types[:, None]) @ others[mates].any(axis=0))
+    return own & ~((types == types[:, None]) @ others()[mates].any(axis=0))
 
 
 def _scene_pairs(scene: Scene) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -177,10 +182,9 @@ def _scene_pairs(scene: Scene) -> tuple[list[int], np.ndarray, np.ndarray]:
     w, h = scene.image_width, scene.image_height
     boxes = np.array([[o.box.x, o.box.y, o.box.w, o.box.h] for o in map(scene.object_by_id, ids)],
                      dtype=float)
-    boxes = np.clip(boxes / np.array([w, h, w, h]), 0.0, 1.0)
+    boxes = np.minimum(np.maximum(boxes / np.array([w, h, w, h]), 0.0), 1.0)  # np.clip, cheaper
     pairs = ~np.eye(len(ids), dtype=bool)
-    targets, references = np.nonzero(pairs)
-    return ids, pairs, np.hstack([boxes[targets], boxes[references]])
+    return ids, pairs, boxes[np.array(np.nonzero(pairs)).T].reshape(-1, 2 * boxes.shape[1])
 
 
 def presence_scores(rpn: MlpModel, scene: Scene) -> np.ndarray:
@@ -205,17 +209,18 @@ def score_scene(rpn: MlpModel, rin: MlpModel, scene: Scene) -> ScoredScene:
     validate_rin(rin)
     ids, pairs, pair_features = _scene_pairs(scene)
     shape = (len(ids), len(ids), len(CATEGORIES))
-    one_hot = np.eye(len(CATEGORIES))
     presence = rpn.forward_batch(pair_features)
-    top = presence.argmax(axis=1)
-    eager = one_hot[top].astype(bool)
-    logger.debug("scoring %d objects: %d rin rows in the first batch", len(ids), len(top))
-    first = np.where(eager, rin.forward_batch(np.hstack([pair_features, one_hot[top]])), np.nan)
+    eager = _ONE_HOT[presence.argmax(axis=1)]
+    logger.debug("scoring %d objects: %d rin rows in the first batch", len(ids), len(eager))
+    # a rin row is the pair's features, then its category's one-hot
+    features = np.concatenate((pair_features, eager), axis=1, dtype=float)
+    first = np.where(eager, rin.forward_batch(features), np.nan)
 
     def score_rest() -> np.ndarray:
         rows, categories = np.nonzero(~eager)
         logger.debug("scoring the other categories: %d rin rows", len(rows))
-        return rin.forward_batch(np.hstack([pair_features[rows], one_hot[categories]]))[:, 0]
+        rest = np.concatenate((pair_features[rows], _ONE_HOT[categories]), axis=1, dtype=float)
+        return rin.forward_batch(rest)[:, 0]
 
     probabilities, confidences = np.full(shape, np.nan), np.full(shape, np.nan)
     unscored = np.zeros(shape, dtype=bool)

@@ -23,13 +23,27 @@ class EmptyCandidatesError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class RelationSets:
-    """One target's selection stages: ``above_threshold`` is NaN wherever no relation
-    is above the threshold, ``best`` masks its per-(target, category) maxima and
-    ``target`` is the target's row. ``above_threshold.where(mask)`` lists relations."""
+    """One target's selection stages over ``scored`` at ``threshold``; ``target`` is
+    the target's row. ``above_threshold`` is NaN wherever no relation is above the
+    threshold and ``best`` masks its per-(target, category) maxima; both are built
+    on first read, once per scene and threshold. ``above_threshold.where(mask)``
+    lists relations."""
 
-    above_threshold: ScoredScene
-    best: np.ndarray
+    scored: ScoredScene
+    threshold: float
     target: int
+
+    @property
+    def above_threshold(self) -> ScoredScene:
+        return self._stages()[0]
+
+    @property
+    def best(self) -> np.ndarray:
+        return self._stages()[1]
+
+    def _stages(self) -> tuple:
+        scored, threshold = self.scored, self.threshold
+        return scored.memo(("stages", threshold), lambda: _scene_stages(scored, threshold))
 
 
 def _preference(rel: SpatialRelation) -> tuple:
@@ -57,22 +71,21 @@ def build_candidate_sets(scored: ScoredScene, target_id: int,
 
     The probability test is strictly greater-than, so a relation sitting exactly
     at the threshold is excluded. The target-independent stages are computed
-    once per threshold and shared across the scene's targets.
+    when first read, once per threshold, and shared across the scene's targets.
     """
     if target_id not in scored.ids:
         raise UnknownObjectError(f"no object with id {target_id} in the scored scene")
-    threshold = cfg.presence_threshold
-    stages = scored.memo(("stages", threshold), lambda: _scene_stages(scored, threshold))
-    return RelationSets(*stages, scored.ids.index(target_id))
+    return RelationSets(scored, cfg.presence_threshold, scored.ids.index(target_id))
 
 
 def eliminate_ambiguous(sets: RelationSets, scene: Scene) -> tuple[SpatialRelation, ...]:
     """Drop every target relation that a competitor (another object's per-category
     maximum) mirrors type-for-type. One pass, so removals never cascade; only the
-    survivors are built as relations."""
-    held, t = sets.above_threshold, sets.target
-    own = ~np.isnan(held.probabilities[t])
-    return held.where(distinct_relations(scene, held.ids, t, own, sets.best), t)
+    survivors are built as relations, and the competitors only for a target with
+    a type-mate."""
+    scored, t = sets.scored, sets.target
+    own = scored.probabilities[t] > sets.threshold  # NaN compares False
+    return scored.where(distinct_relations(scene, scored.ids, t, own, lambda: sets.best), t)
 
 
 def select_relation(candidates) -> SpatialRelation:

@@ -190,11 +190,13 @@ def render_phrase(target: SceneObject, reference: SceneObject, category: Relatio
 
 # --- strict scene JSON schema ------------------------------------------------
 
-_SCENE_KEYS = ("image_width", "image_height", "objects")
+# ordered key sets: a document's keys() compare equal to one when it has exactly those keys
+_SCENE_KEYS = dict.fromkeys(("image_width", "image_height", "objects"))
 # Scoring holds n(n-1)*6 rin rows of 64 hidden floats (512 B) each: about
 # 200 MB at this bound, about 12 GB at 2,000 objects.
 _MAX_OBJECTS = 256
-_OBJECT_KEYS = ("id", "type", "box")
+_OBJECT_KEYS = dict.fromkeys(("id", "type", "box"))
+_BOX_TYPES = [float] * 4  # the types of a box the fast path takes
 
 
 def _is_finite_number(v: object) -> bool:
@@ -202,6 +204,16 @@ def _is_finite_number(v: object) -> bool:
         return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _reject_keys(doc: dict, keys: dict, where: str) -> None:
+    """Name the first unknown key of ``doc``, else the first of ``keys`` it lacks."""
+    for key in doc:
+        if key not in keys:
+            raise SceneFormatError(f"unknown field '{key}' in {where}")
+    for key in keys:
+        if key not in doc:
+            raise SceneFormatError(f"missing field '{key}' in {where}")
 
 
 def _require_number(value, where: str) -> float:
@@ -238,12 +250,8 @@ def scene_from_json(doc: object) -> Scene:
     """Parse one scene document; unknown fields are rejected by name."""
     if not isinstance(doc, dict):
         raise SceneFormatError("scene document must be a JSON object")
-    for key in doc:
-        if key not in _SCENE_KEYS:
-            raise SceneFormatError(f"unknown field '{key}' in scene")
-    for key in _SCENE_KEYS:
-        if key not in doc:
-            raise SceneFormatError(f"missing field '{key}' in scene")
+    if doc.keys() != _SCENE_KEYS.keys():
+        _reject_keys(doc, _SCENE_KEYS, "scene")
     width = _require_number(doc["image_width"], "image_width")
     height = _require_number(doc["image_height"], "image_height")
     if width <= 0 or height <= 0:
@@ -258,12 +266,8 @@ def scene_from_json(doc: object) -> Scene:
     for pos, entry in enumerate(doc["objects"]):
         if not isinstance(entry, dict):
             raise SceneFormatError(f"objects[{pos}] must be a JSON object")
-        for key in entry:
-            if key not in _OBJECT_KEYS:
-                raise SceneFormatError(f"unknown field '{key}' in objects[{pos}]")
-        for key in _OBJECT_KEYS:
-            if key not in entry:
-                raise SceneFormatError(f"missing field '{key}' in objects[{pos}]")
+        if entry.keys() != _OBJECT_KEYS.keys():
+            _reject_keys(entry, _OBJECT_KEYS, f"objects[{pos}]")
         oid = entry["id"]
         if isinstance(oid, bool) or not isinstance(oid, int):
             raise SceneFormatError(f"objects[{pos}].id must be an integer")
@@ -272,7 +276,9 @@ def scene_from_json(doc: object) -> Scene:
         raw = entry["box"]
         if not isinstance(raw, list) or len(raw) != 4:
             raise SceneFormatError(f"objects[{pos}].box must be [x, y, w, h]")
-        coords = [_require_number(v, f"objects[{pos}].box[{k}]") for k, v in enumerate(raw)]
+        # four finite floats pass as they are; anything else is checked one by one
+        coords = raw if list(map(type, raw)) == _BOX_TYPES and math.isfinite(sum(raw)) else [
+            _require_number(v, f"objects[{pos}].box[{k}]") for k, v in enumerate(raw)]
         try:
             box, was_clamped = clamp_box(*coords, width, height)
             obj = SceneObject(oid, entry["type"], box)

@@ -312,9 +312,9 @@ def test_rpn_budget_edge_and_scene_draws(monkeypatch):
 
 
 def test_rin_budget_edge_and_scene_draws(monkeypatch):
-    spec = SceneGenSpec(seed=4)
+    spec = SceneGenSpec(seed=5)
     expected, needed = reference_synth_rin(spec, 250)
-    assert needed > datagen._BLOCK_STEPS  # the edge falls inside a later block
+    assert needed > 250  # the edge falls inside a later block than the first, of 250 scenes
     drawn = count_scene_draws(monkeypatch)
     monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed)
     assert_same_samples(synth_rin_dataset(spec, 250), expected)
@@ -344,14 +344,16 @@ def test_synthesis_logs_its_work_at_debug(monkeypatch, caplog, kind, synth):
     ordered pairs of distinct boxes those calls scored."""
     drawn, calls = count_scene_draws(monkeypatch), []
     monkeypatch.setattr(datagen, "rule_table", lambda *args: calls.append(args) or rule_table(*args))
-    monkeypatch.setattr(datagen, "_BLOCK_STEPS", 7)
+    monkeypatch.setattr(datagen, "_BLOCK_STEPS", 16)
     with caplog.at_level(logging.DEBUG, logger="refexp.datagen"):
-        samples = synth(SceneGenSpec(seed=2), 40)
+        samples = synth(SceneGenSpec(seed=4), 40)
     pairs = sum(len(boxes) * (len(boxes) - 1) for boxes in drawn)
     assert [r.getMessage() for r in caplog.records] == [
         f"{kind} synthesis: {len(samples)} samples from {len(drawn)} scenes, "
         f"{len(calls)} rule_table calls, {pairs} pairs scored"]
-    assert len(calls) == -(-len(drawn) // 7) > 1
+    # rpn draws whole blocks; rin one scene per sample first, then an eighth of a block
+    first, later = (16, 16) if kind == "rpn" else (40, 2)
+    assert len(calls) == 1 + -(-(len(drawn) - first) // later) > 1
 
 
 # --- annotation extraction -------------------------------------------------------

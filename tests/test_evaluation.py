@@ -174,21 +174,22 @@ class TestCompareCorpus:
 def test_each_scene_scored_once(monkeypatch, rpn_model, rin_model, run):
     """One score_scene call and one batch per net for each scene, shared by
     every target, the baseline and the twin; the target-independent selection
-    stages are computed once per scene too (one memo miss each)."""
+    stages are built at most once per scene (one memo miss), and only for a
+    scene where some target has a type-mate to compete with."""
     scored, batches, misses = [], [], []
     score_scene, forward_batch = pipeline.score_scene, MlpModel.forward_batch
     scene_stages = pipeline._scene_stages
 
     def counting_score(rpn, rin, scene):
-        scored.append(scene)
-        return score_scene(rpn, rin, scene)
+        scored.append((score_scene(rpn, rin, scene), scene))  # held, so ids stay unique
+        return scored[-1][0]
 
     def counting_forward(model, features):
         batches.append(model)
         return forward_batch(model, features)
 
     def counting_stages(scored_scene, threshold):
-        misses.append(scored_scene)
+        misses.append(next(s for held, s in scored if held is scored_scene))
         return scene_stages(scored_scene, threshold)
 
     monkeypatch.setattr(pipeline, "score_scene", counting_score)
@@ -196,6 +197,8 @@ def test_each_scene_scored_once(monkeypatch, rpn_model, rin_model, run):
     monkeypatch.setattr(pipeline, "_scene_stages", counting_stages)
     scenes = mixed_corpus()[::4]
     run(rpn_model, rin_model, scenes)
-    assert [id(s) for s in scored] == [id(s) for s in scenes]
+    assert [id(s) for _, s in scored] == [id(s) for s in scenes]
     assert [id(m) for m in batches] == [id(rpn_model), id(rin_model)] * len(scenes)
-    assert len(misses) == len(scenes) == len({id(s) for s in misses})
+    with_mates = [s for s in scenes if max(s.type_codes[2]) > 1]
+    assert 0 < len(with_mates) < len(scenes)
+    assert [id(s) for s in misses] == [id(s) for s in with_mates]

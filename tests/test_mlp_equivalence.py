@@ -8,6 +8,8 @@ formula, its inference pass builds a fresh array at every step, and it steps
 each layer's weights and biases as separate arrays, so none of it calls the
 code under test. The current trainer must reproduce its weights,
 biases and report bit for bit, so models trained for a seed never change.
+The inference pass is held to a frozen copy of the one that preceded its
+in-place softmax, so a scene's scores never change either.
 """
 
 import numpy as np
@@ -146,6 +148,22 @@ def reference_train(dataset, specs, cfg, dropout_rate):
     return model, report
 
 
+def frozen_forward_batch(model, x):
+    """forward_batch before its softmax ran in place: a fresh array per softmax step."""
+    for w, b, act in zip(model.weights, model.biases, model.activations):
+        z = x @ w.T
+        z += b
+        if act == "relu":
+            x = np.maximum(z, 0.0, out=z)
+        elif act == "softmax":
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            x = e / e.sum(axis=1, keepdims=True)
+        else:
+            e = np.exp(np.minimum(z, -z))
+            x = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return x
+
+
 # --- equivalence ---------------------------------------------------------------
 
 def rpn_pairs():
@@ -198,3 +216,17 @@ def test_train_equals_per_batch_loop(case):
     assert report.epochs_run == expected_report.epochs_run
     if case == "rpn-early-stop":
         assert report.epochs_run < cfg.max_epochs
+
+
+@pytest.mark.parametrize("specs", [rpn_layer_specs, rin_layer_specs])
+def test_forward_batch_equals_frozen_forward(specs):
+    """The scorers' shapes with nonzero biases, at every batch size up to 64 and
+    at 1,560 rows (every ordered pair of a 40-object scene)."""
+    rng = np.random.default_rng(11)
+    model = mlp.init_model(specs(), rng)
+    model.biases = [rng.normal(0.0, 2.0, b.shape) for b in model.biases]
+    for rows in [*range(1, 65), 1560]:
+        x = rng.normal(0.5, 2.0, (rows, model.weights[0].shape[1]))
+        got = model.forward_batch(x)
+        assert got.shape == (rows, model.weights[-1].shape[0])
+        assert got.tobytes() == frozen_forward_batch(model, x).tobytes()

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refexp.krreg import krreg_describe
-from refexp.networks import score_scene
+from refexp.mlp import MlpModel
+from refexp.networks import ScoredScene, score_scene
 from refexp.pipeline import (EmptyCandidatesError, build_candidate_sets, describe,
                              describe_oracle, eliminate_ambiguous, select_relation)
-from refexp.scene import (PipelineConfig, RelationCategory, Scene, SpatialRelation,
-                          UnknownObjectError, scene_from_json)
+from refexp.scene import (PipelineConfig, ReferringExpression, RelationCategory, Scene,
+                          SpatialRelation, UnknownObjectError, render_phrase, scene_from_json)
 
 from helpers import (crowded_scene_doc, full_batch_scored, held_relations, make_scene,
                      mixed_corpus, scored_from_relations, set_fields, two_books_and_mouse)
@@ -49,6 +50,28 @@ def ref_eliminate_ambiguous(stages, scene):
     taken = {(type_of[r.target_id], type_of[r.reference_id], r.category) for r in competitors}
     return tuple(r for r in from_target
                  if (type_of[r.target_id], type_of[r.reference_id], r.category) not in taken)
+
+
+def eager_describe(rpn, rin, scene, target_id, threshold):
+    """describe with both scene-wide stages built for every target, the survivors
+    read from the thresholded copy: kept as the reference for the lazy stages."""
+    scored = score_scene(rpn, rin, scene)
+    above = scored.probabilities > threshold
+    confidences = np.where(above, scored.confidences_at(above), np.nan)
+    confidence = np.where(above, confidences, -np.inf)
+    best = above & (confidence == confidence.max(axis=1, keepdims=True, initial=-np.inf))
+    best &= best.cumsum(axis=1) == 1
+    held = ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan), confidences)
+    t = held.ids.index(target_id)
+    types = np.array([scene.object_by_id(oid).type_name for oid in held.ids])
+    mates = types == types[t]
+    mates[t] = False
+    own = ~np.isnan(held.probabilities[t])
+    distinct = own & ~((types == types[:, None]) @ best[mates].any(axis=0))
+    chosen = select_relation(held.where(distinct, t))
+    target, reference = scene.object_by_id(target_id), scene.object_by_id(chosen.reference_id)
+    return ReferringExpression(target_id, chosen.reference_id, chosen.category,
+                               render_phrase(target, reference, chosen.category))
 
 
 def outcome(call):
@@ -201,6 +224,16 @@ class TestEliminateAmbiguous:
         other = rel(0, 2, R.LEFT, 0.9, 0.7)
         sets = build_candidate_sets(scored_from_relations([mine, other]), 1)
         assert eliminate_ambiguous(sets, scene) == (mine,)
+
+    @pytest.mark.parametrize("mate", ["book", "cup"])
+    def test_relation_at_threshold_not_a_candidate(self, mate):
+        """Read from the target's row, with and without a type-mate to compete."""
+        scene = make_scene([(0, mate, (0, 40, 10, 10)), (1, "book", (40, 40, 10, 10)),
+                            (2, "mouse", (20, 40, 8, 8))])
+        at = rel(1, 2, R.RIGHT, 0.5, 0.9)
+        above = rel(1, 0, R.RIGHT, 0.6, 0.2)
+        sets = build_candidate_sets(scored_from_relations([at, above]), 1)
+        assert eliminate_ambiguous(sets, scene) == (above,)
 
     def test_same_types_different_category_kept(self):
         mine = rel(1, 2, R.RIGHT, 0.9, 0.8)
@@ -360,6 +393,31 @@ class TestDescribe:
                                                 scored=split)) == \
                     outcome(lambda: describe(rpn_model, rin_model, scene, target, cfg,
                                              scored=full))
+
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8])
+    def test_lazy_stages_equal_eager_reference(self, rpn_model, rin_model, monkeypatch,
+                                               threshold):
+        """Every target gets the eager reference's expression and the twin's; from
+        0.5 up, describing all of a scene's targets and their twins from one scoring
+        runs the rpn batch and the first rin batch only."""
+        cfg = PipelineConfig(presence_threshold=threshold)
+        forward_batch = MlpModel.forward_batch
+        for scene in mixed_corpus():
+            want = [outcome(lambda: eager_describe(rpn_model, rin_model, scene, target, threshold))
+                    for target in scene.object_ids()]
+            batches = []
+            monkeypatch.setattr(MlpModel, "forward_batch",
+                                lambda model, x: batches.append(model) or forward_batch(model, x))
+            scored = score_scene(rpn_model, rin_model, scene)
+            for target, expected in zip(scene.object_ids(), want):
+                assert outcome(lambda: describe(rpn_model, rin_model, scene, target, cfg,
+                                                scored=scored)) == expected
+                assert outcome(lambda: describe_oracle(rpn_model, rin_model, scene, target, cfg,
+                                                       scored=scored)) == expected
+            monkeypatch.undo()
+            if threshold >= 0.5:
+                assert [id(m) for m in batches] == [id(rpn_model), id(rin_model)]
 
 
 class TestSceneInputsShared:

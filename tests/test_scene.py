@@ -160,6 +160,26 @@ class TestSceneJson:
         with pytest.raises(SceneFormatError, match="image_height"):
             scene_from_json(doc)
 
+    def test_unknown_field_named_before_missing_one(self):
+        doc = {k: v for k, v in self.DOC.items() if k != "image_height"}
+        with pytest.raises(SceneFormatError, match="^unknown field 'extra' in scene$"):
+            scene_from_json(dict(doc, extra=1))
+        doc = json.loads(json.dumps(self.DOC))
+        doc["objects"][1] = {"id": 1, "color": "red", "type": "cup"}
+        with pytest.raises(SceneFormatError, match=r"^unknown field 'color' in objects\[1\]$"):
+            scene_from_json(doc)
+        del doc["objects"][1]["color"]
+        with pytest.raises(SceneFormatError, match=r"^missing field 'box' in objects\[1\]$"):
+            scene_from_json(doc)
+
+    def test_integer_and_float_boxes_parse_alike(self):
+        floats = json.loads(json.dumps(self.DOC))
+        for entry in floats["objects"]:
+            entry["box"] = [float(v) for v in entry["box"]]
+        scene = scene_from_json(self.DOC)
+        assert scene == scene_from_json(floats)
+        assert {type(v) for o in scene.objects for v in vars(o.box).values()} == {float}
+
     def test_overflowing_box_clamped_with_warning(self, caplog):
         doc = json.loads(json.dumps(self.DOC))
         doc["objects"][0]["box"] = [90, 70, 30, 30]
@@ -226,7 +246,8 @@ def test_clamp_box_reports_change():
 
 @st.composite
 def scene_docs(draw, min_objects=0):
-    """Scene documents whose boxes lie inside the image, so parsing clamps nothing."""
+    """Scene documents whose boxes lie inside the image, so parsing clamps nothing;
+    some box numbers are floored to JSON integers."""
     width, height = (draw(st.floats(1.0, 4096.0)) for _ in range(2))
     n = draw(st.integers(min_objects, 6))
     ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
@@ -236,7 +257,9 @@ def scene_docs(draw, min_objects=0):
         y = draw(st.floats(0.0, height, exclude_max=True))
         w = draw(st.floats(0.0, width - x, exclude_min=True))
         h = draw(st.floats(0.0, height - y, exclude_min=True))
-        assume(x < x + w <= width and y < y + h <= height)  # a positive float area
+        x, y, w, h = (math.floor(v) if draw(st.booleans()) else v for v in (x, y, w, h))
+        # a positive float area
+        assume(0 < w and 0 < h and x < x + w <= width and y < y + h <= height)
         name = " ".join(draw(st.lists(st.text("abcxyz", min_size=1, max_size=5),
                                       min_size=1, max_size=2)))
         objects.append({"id": oid, "type": name, "box": [x, y, w, h]})
@@ -249,6 +272,11 @@ def scene_docs(draw, min_objects=0):
 def test_json_round_trip_property(doc):
     scene = scene_from_json(doc)
     assert scene_to_json(scene) == doc
+    assert {type(v) for o in scene.objects for v in vars(o.box).values()} <= {float}
+    floats = json.loads(json.dumps(doc))
+    for entry in floats["objects"]:
+        entry["box"] = [float(v) for v in entry["box"]]
+    assert scene_from_json(floats) == scene
     assert scene_from_json(json.loads(json.dumps(scene_to_json(scene)))) == scene
 
 
