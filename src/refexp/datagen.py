@@ -107,6 +107,19 @@ def _share(total: int, buckets: int) -> list[int]:
 _SCENE_BUDGET = 200_000
 _BLOCK_STEPS = 128  # scenes drawn per rule-table call in synthesis
 
+
+def _blocks(n: int):
+    """(start, stop) scene steps of each rule-table call of an n-sample synthesis: one
+    scene per sample first (each synthesizer needs about one), at most eight blocks,
+    then an eighth of a block, so few scenes are drawn past the last one needed."""
+    start = 0
+    while start < _SCENE_BUDGET:
+        steps = min(8 * _BLOCK_STEPS, n) if start == 0 else max(1, _BLOCK_STEPS // 8)
+        stop = min(start + steps, _SCENE_BUDGET)
+        yield start, stop
+        start = stop
+
+
 # emission filters: only clear cases enter the datasets, so the mapping from
 # features to label is single-valued and the learnability bars are honest
 RPN_MARGIN_GAP = 0.08
@@ -120,7 +133,9 @@ def _archetype_boxes(spec: SceneGenSpec, rng: np.random.Generator, archetype: in
     0: side-by-side boxes (left/right), 1: stacked boxes (in-front/behind),
     2: x-nested boxes with nested y spans (on-top/at-bottom), each at a random
     image position. Keeps the thresholded region well covered at every
-    position and adjacency scale.
+    position and adjacency scale. Archetype 2's x slacks clear RPN_MARGIN_GAP,
+    and no y rule fires on nested y spans, so each such scene gives one clear
+    on-top pair (inner on outer) and one clear at-bottom pair (outer on inner).
     """
     W, H = spec.image_width, spec.image_height
     u = rng.random(8 if archetype == 2 else 5).tolist()  # as in _cluttered_boxes
@@ -128,7 +143,7 @@ def _archetype_boxes(spec: SceneGenSpec, rng: np.random.Generator, archetype: in
         w = (0.04 + (0.20 - 0.04) * u[0]) * W
         h = (0.04 + (0.20 - 0.04) * u[1]) * H
         gap = (0.02 + (0.50 - 0.02) * u[2]) * W
-        x0 = max(W - 2 * w - gap, 1.0) * u[3]
+        x0 = (W - 2 * w - gap) * u[3]
         y = (H - h) * u[4]
         flat = (x0, y, w, h, x0 + w + gap, y, w, h)
     elif archetype == 1:
@@ -136,12 +151,15 @@ def _archetype_boxes(spec: SceneGenSpec, rng: np.random.Generator, archetype: in
         h = (0.04 + (0.20 - 0.04) * u[1]) * H
         gap = (0.02 + (0.50 - 0.02) * u[2]) * H
         x = (W - w) * u[3]
-        y0 = max(H - 2 * h - gap, 1.0) * u[4]
+        y0 = (H - 2 * h - gap) * u[4]
         flat = (x, y0, w, h, x, y0 + h + gap, w, h)
     else:
-        outer_w = (0.22 + (0.35 - 0.22) * u[0]) * W
-        slack_l = (0.03 + (0.08 - 0.03) * u[1]) * W
-        slack_r = (0.03 + (0.08 - 0.03) * u[2]) * W
+        # the x slacks clear RPN_MARGIN_GAP with headroom; the inner box keeps at least 0.04 W
+        s0, s1 = RPN_MARGIN_GAP + 0.01, RPN_MARGIN_GAP + 0.05
+        w0, w1 = 2 * s1 + 0.04, 2 * s1 + 0.19
+        outer_w = (w0 + (w1 - w0) * u[0]) * W
+        slack_l = (s0 + (s1 - s0) * u[1]) * W
+        slack_r = (s0 + (s1 - s0) * u[2]) * W
         inner_w = outer_w - slack_l - slack_r
         outer_h = (0.22 + (0.35 - 0.22) * u[3]) * H
         inner_h = (0.3 + (0.7 - 0.3) * u[4]) * outer_h
@@ -175,11 +193,11 @@ def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
     rng = np.random.default_rng(spec.seed)
     W, H = spec.image_width, spec.image_height
     pairs = 0
-    for start in range(0, _SCENE_BUDGET, _BLOCK_STEPS):
+    for calls, (start, stop) in enumerate(_blocks(n), 1):
         # alternate cluttered scenes with targeted two-box scenes
         drawn = [_cluttered_boxes(spec, rng)[0] if step % 2 == 0
                  else _archetype_boxes(spec, rng, (step // 2) % 3)
-                 for step in range(start, min(start + _BLOCK_STEPS, _SCENE_BUDGET))]
+                 for step in range(start, stop)]
         boxes = np.concatenate(drawn)
         # ordered pairs of distinct boxes of one scene, in (scene, target,
         # reference) order: the k-th reference of a target is the k-th box of
@@ -205,7 +223,7 @@ def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
                                 np.clip(features / (W, H, W, H, W, H, W, H), 0.0, 1.0))
         if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
             logger.debug("rpn synthesis: %d samples from %d scenes, %d rule_table calls, "
-                         "%d pairs scored", n, start + len(drawn), start // _BLOCK_STEPS + 1, pairs)
+                         "%d pairs scored", n, stop, calls, pairs)
             return [sample for pool in pools for sample in pool]
     raise RuntimeError("scene budget exhausted before the dataset was balanced")
 
@@ -219,9 +237,6 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     RIN_NEAR_DISTANCE, uninformative ones beyond RIN_FAR_DISTANCE. The band
     between keeps the two labels apart in feature space. Blocks of scenes are
     scored as in synth_rpn_dataset, padded with NaN boxes that satisfy no rule.
-    The first block holds one scene per sample (the quotas need about 1.05 per
-    sample) and later ones an eighth of a block, so few scenes are drawn past the
-    last one needed.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -231,11 +246,9 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     one_hot = np.eye(len(CATEGORIES))
     rng = np.random.default_rng(spec.seed)
     W, H = spec.image_width, spec.image_height
-    start = pairs = calls = 0
-    while start < _SCENE_BUDGET:
-        steps = min(8 * _BLOCK_STEPS, n) if start == 0 else max(1, _BLOCK_STEPS // 8)
-        drawn = [_cluttered_boxes(spec, rng)[0] for _ in range(min(steps, _SCENE_BUDGET - start))]
-        start, calls = start + len(drawn), calls + 1
+    pairs = 0
+    for calls, (start, stop) in enumerate(_blocks(n), 1):
+        drawn = [_cluttered_boxes(spec, rng)[0] for _ in range(start, stop)]
         sizes = np.array([len(b) for b in drawn])
         pairs += int(sizes @ (sizes - 1))
         ids = np.arange(sizes.max())
@@ -260,7 +273,7 @@ def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
             pool.extend(RinSample(row, slot % 2 == 0) for row in features[picked])
         if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
             logger.debug("rin synthesis: %d samples from %d scenes, %d rule_table calls, "
-                         "%d pairs scored", n, start, calls, pairs)
+                         "%d pairs scored", n, stop, calls, pairs)
             return [sample for pool in pools for sample in pool]
     raise RuntimeError("scene budget exhausted before the dataset was balanced")
 

@@ -56,10 +56,13 @@ def rule_table(targets, references, image_width: float, image_height: float) -> 
     d = (_edge_offsets(t[..., 0], t[..., 2], r[..., 0], r[..., 2])
          + _edge_offsets(t[..., 1], t[..., 3], r[..., 1], r[..., 3]))
     signed = {1.0: d, -1.0: [-offset for offset in d]}
-    slack = np.stack([np.minimum(signed[near][2 * axis], signed[far][2 * axis + 1])
-                      for axis, near, far in _RULES.values()], axis=-1)
-    sides = np.array([(image_width, image_height)[a] for a, _, _ in _RULES.values()], float)
-    return np.where(slack > 0, slack / sides, np.nan)
+    table = np.empty(np.broadcast_shapes(t.shape, r.shape)[:-1] + (len(_RULES),))
+    for c, (axis, near, far) in enumerate(_RULES.values()):
+        np.minimum(signed[near][2 * axis], signed[far][2 * axis + 1], out=table[..., c])
+    fails = ~(table > 0)  # taken before the division, which can round a tiny slack to 0
+    table /= [(image_width, image_height)[a] for a, _, _ in _RULES.values()]
+    np.putmask(table, fails, np.nan)
+    return table
 
 
 def dominant_category(target: BoundingBox, reference: BoundingBox,

@@ -2,9 +2,11 @@
 
 The reference functions below are the per-pair, per-rule loops the datasets
 were first built with; the array paths must reproduce their scenes, samples
-and sample order exactly, so datasets written for a seed never change.
+and sample order exactly, so the datasets written for a seed move only with a
+deliberate change to the scene draws.
 """
 
+import hashlib
 import json
 import logging
 
@@ -16,10 +18,10 @@ from refexp.datagen import (DEFAULT_PREDICATE_SYNONYMS, DEFAULT_TYPE_POOL, RIN_F
                             RIN_NEAR_DISTANCE, RPN_MARGIN_GAP, RinSample, RpnSample, SceneGenSpec,
                             extract_rin_dataset, extract_rpn_dataset, generate_scenes,
                             normalize_predicate, read_vg_annotations, synth_rin_dataset,
-                            synth_rpn_dataset)
+                            synth_rpn_dataset, write_rpn_samples)
 from refexp.networks import encode_pair, encode_relation
 from refexp.rules import rule_holds, rule_margins, rule_table
-from refexp.scene import CATEGORIES, BoundingBox, Scene, SceneObject
+from refexp.scene import CATEGORIES, BoundingBox, RelationCategory, Scene, SceneObject
 
 
 # --- scalar references -----------------------------------------------------------
@@ -46,7 +48,7 @@ def reference_archetype_pair_scene(spec, rng, archetype):
         w = rng.uniform(0.04, 0.20) * W
         h = rng.uniform(0.04, 0.20) * H
         gap = rng.uniform(0.02, 0.50) * W
-        x0 = rng.uniform(0.0, max(W - 2 * w - gap, 1.0))
+        x0 = rng.uniform(0.0, W - 2 * w - gap)
         y = rng.uniform(0.0, H - h)
         boxes = (BoundingBox(x0, y, w, h), BoundingBox(x0 + w + gap, y, w, h))
     elif archetype == 1:
@@ -54,12 +56,14 @@ def reference_archetype_pair_scene(spec, rng, archetype):
         h = rng.uniform(0.04, 0.20) * H
         gap = rng.uniform(0.02, 0.50) * H
         x = rng.uniform(0.0, W - w)
-        y0 = rng.uniform(0.0, max(H - 2 * h - gap, 1.0))
+        y0 = rng.uniform(0.0, H - 2 * h - gap)
         boxes = (BoundingBox(x, y0, w, h), BoundingBox(x, y0 + h + gap, w, h))
     else:
-        outer_w = rng.uniform(0.22, 0.35) * W
-        slack_l = rng.uniform(0.03, 0.08) * W
-        slack_r = rng.uniform(0.03, 0.08) * W
+        # slacks in [0.09, 0.13] W, past the gap; outer widths in [0.30, 0.45] W
+        slack_min, slack_max = RPN_MARGIN_GAP + 0.01, RPN_MARGIN_GAP + 0.05
+        outer_w = rng.uniform(2 * slack_max + 0.04, 2 * slack_max + 0.19) * W
+        slack_l = rng.uniform(slack_min, slack_max) * W
+        slack_r = rng.uniform(slack_min, slack_max) * W
         inner_w = outer_w - slack_l - slack_r
         outer_h = rng.uniform(0.22, 0.35) * H
         inner_h = rng.uniform(0.3, 0.7) * outer_h
@@ -69,6 +73,40 @@ def reference_archetype_pair_scene(spec, rng, archetype):
         boxes = (BoundingBox(x0, y0, outer_w, outer_h),
                  BoundingBox(x0 + slack_l, inner_y, inner_w, inner_h))
     return Scene(W, H, (SceneObject(0, "object", boxes[0]), SceneObject(1, "object", boxes[1])))
+
+
+def legacy_archetype_boxes(spec, rng, archetype):
+    """The archetype draw rpn datasets were built with up to the nested-archetype fix:
+    archetype 2's x slacks stayed below RPN_MARGIN_GAP, and archetypes 0 and 1
+    floored their free span at 1.0."""
+    W, H = spec.image_width, spec.image_height
+    u = rng.random(8 if archetype == 2 else 5).tolist()
+    if archetype == 0:
+        w = (0.04 + (0.20 - 0.04) * u[0]) * W
+        h = (0.04 + (0.20 - 0.04) * u[1]) * H
+        gap = (0.02 + (0.50 - 0.02) * u[2]) * W
+        x0 = max(W - 2 * w - gap, 1.0) * u[3]
+        y = (H - h) * u[4]
+        flat = (x0, y, w, h, x0 + w + gap, y, w, h)
+    elif archetype == 1:
+        w = (0.04 + (0.20 - 0.04) * u[0]) * W
+        h = (0.04 + (0.20 - 0.04) * u[1]) * H
+        gap = (0.02 + (0.50 - 0.02) * u[2]) * H
+        x = (W - w) * u[3]
+        y0 = max(H - 2 * h - gap, 1.0) * u[4]
+        flat = (x, y0, w, h, x, y0 + h + gap, w, h)
+    else:
+        outer_w = (0.22 + (0.35 - 0.22) * u[0]) * W
+        slack_l = (0.03 + (0.08 - 0.03) * u[1]) * W
+        slack_r = (0.03 + (0.08 - 0.03) * u[2]) * W
+        inner_w = outer_w - slack_l - slack_r
+        outer_h = (0.22 + (0.35 - 0.22) * u[3]) * H
+        inner_h = (0.3 + (0.7 - 0.3) * u[4]) * outer_h
+        x0 = (W - outer_w) * u[5]
+        y0 = (H - outer_h) * u[6]
+        inner_y = y0 + (outer_h - inner_h) * u[7]
+        flat = (x0, y0, outer_w, outer_h, x0 + slack_l, inner_y, inner_w, inner_h)
+    return np.array(flat).reshape(2, 4)
 
 
 def reference_clear_dominant(scene, target, reference):
@@ -281,6 +319,34 @@ def test_archetype_pair_scene_equals_scalar_uniform_draws(size):
     assert rng.random() == expected_rng.random()  # both consumed the same stream
 
 
+ARCHETYPE_SIZES = [(640.0, 480.0), (301.5, 977.0), (8.0, 6.0), (3.0, 2.0)]
+
+
+@pytest.mark.parametrize("size", ARCHETYPE_SIZES)
+def test_archetype_boxes_lie_inside_the_image(size):
+    spec = SceneGenSpec(image_width=size[0], image_height=size[1])
+    rng = np.random.default_rng(11)
+    x, y, w, h = np.array([datagen._archetype_boxes(spec, rng, step % 3)
+                           for step in range(6000)]).transpose(2, 0, 1)
+    assert (x >= 0).all() and (y >= 0).all() and (w > 0).all() and (h > 0).all()
+    assert (x + w <= size[0]).all() and (y + h <= size[1]).all()
+
+
+@pytest.mark.parametrize("size", ARCHETYPE_SIZES)
+def test_nested_archetype_gives_a_clear_on_top_and_at_bottom_pair(size):
+    """Inner on outer is on-top and outer on inner at-bottom, each with a margin
+    of at least RPN_MARGIN_GAP and no other rule firing."""
+    spec = SceneGenSpec(image_width=size[0], image_height=size[1])
+    rng = np.random.default_rng(12)
+    outer, inner = np.array([datagen._archetype_boxes(spec, rng, 2)
+                             for _ in range(2000)]).transpose(1, 0, 2)
+    for target, reference, cat in ((inner, outer, RelationCategory.ON_TOP),
+                                   (outer, inner, RelationCategory.AT_BOTTOM)):
+        margins = rule_table(target, reference, *size)
+        assert (margins[:, cat.index] >= RPN_MARGIN_GAP).all()
+        assert np.isnan(np.delete(margins, cat.index, axis=1)).all()
+
+
 # --- synthesis -------------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -300,7 +366,7 @@ def test_synth_rin_equals_scalar_loop(spec, n):
 def test_rpn_budget_edge_and_scene_draws(monkeypatch):
     spec = SceneGenSpec(seed=4)
     expected, needed = reference_synth_rpn(spec, 23)
-    assert needed > datagen._BLOCK_STEPS  # the edge falls inside a later block
+    assert needed > 23  # the edge falls inside a later block than the first, of 23 scenes
     drawn = count_scene_draws(monkeypatch)
     monkeypatch.setattr(datagen, "_SCENE_BUDGET", needed)
     assert_same_samples(synth_rpn_dataset(spec, 23), expected)
@@ -351,9 +417,38 @@ def test_synthesis_logs_its_work_at_debug(monkeypatch, caplog, kind, synth):
     assert [r.getMessage() for r in caplog.records] == [
         f"{kind} synthesis: {len(samples)} samples from {len(drawn)} scenes, "
         f"{len(calls)} rule_table calls, {pairs} pairs scored"]
-    # rpn draws whole blocks; rin one scene per sample first, then an eighth of a block
-    first, later = (16, 16) if kind == "rpn" else (40, 2)
-    assert len(calls) == 1 + -(-(len(drawn) - first) // later) > 1
+    # one scene per sample first, then an eighth of a block
+    assert len(calls) == 1 + -(-(len(drawn) - 40) // 2) > 1
+
+
+LEGACY_RPN_DIGEST = "95d89314f5c54d1cea3cad2b36d188160037efbadc358fcf70e4c7e3c086e5c0"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_nested_archetype_moves_only_on_top_and_at_bottom(monkeypatch, tmp_path, seed):
+    """The right, left, in-front and behind samples are those the legacy archetype
+    draw gives; for seed 0 that draw still writes the bytes gen-data wrote before."""
+    spec = SceneGenSpec(seed=seed)
+    fixed = synth_rpn_dataset(spec, 600)
+    monkeypatch.setattr(datagen, "_archetype_boxes", legacy_archetype_boxes)
+    legacy = synth_rpn_dataset(spec, 600)
+    if seed == 0:
+        write_rpn_samples(str(tmp_path / "rpn.jsonl"), legacy)
+        assert hashlib.sha256((tmp_path / "rpn.jsonl").read_bytes()).hexdigest() == LEGACY_RPN_DIGEST
+    for cat in CATEGORIES:
+        ours = [s for s in fixed if s.label is cat]
+        theirs = [s for s in legacy if s.label is cat]
+        if cat in (RelationCategory.ON_TOP, RelationCategory.AT_BOTTOM):
+            assert len(ours) == len(theirs) and not np.array_equal(
+                np.array([s.features for s in ours]), np.array([s.features for s in theirs]))
+        else:
+            assert_same_samples(ours, theirs)
+
+
+def test_criterion_3_rpn_recipe_draws_about_one_scene_per_sample(monkeypatch):
+    drawn = count_scene_draws(monkeypatch)
+    assert len(synth_rpn_dataset(SceneGenSpec(seed=0), 6000)) == 6000
+    assert len(drawn) <= 1.1 * 6000
 
 
 # --- annotation extraction -------------------------------------------------------

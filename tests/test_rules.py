@@ -171,6 +171,7 @@ def test_scalar_rules_equal_independent_bit_for_bit(a, b, size):
 
 
 @given(st.lists(mixed_boxes, min_size=1, max_size=7), image_sizes)
+@example([box(5e-324, 0, 1, 1), box(0, 0, 0.5, 1)], (640.0, 480.0))  # the slack divides to 0.0
 def test_rule_table_equals_scalar_rules_bit_for_bit(box_list, size):
     box_list = box_list + box_list[:1]  # every list holds an identical pair
     width, height = size
