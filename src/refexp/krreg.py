@@ -60,7 +60,7 @@ def krreg_describe(rpn: MlpModel, scene: Scene, target_id: int,
     ids = scene.object_ids() if scored is None else scored.ids
     present = (presence_scores(rpn, scene) > cfg.presence_threshold if scored is None
                else scored.present(cfg.presence_threshold))
-    t = ids.index(target_id)
+    t = ids.index(target_id) if scored is None else scored.row(target_id)
     # distractors are the target's type-mates; a landmark's type holds its same-type landmarks
     distinct = dict(zip(ids, distinct_relations(scene, ids, t, present[t], lambda: present).tolist()))
 

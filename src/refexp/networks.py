@@ -13,7 +13,7 @@ import logging
 import numpy as np
 
 from .mlp import LayerSpec, MlpModel
-from .scene import CATEGORIES, RelationCategory, Scene, SpatialRelation
+from .scene import CATEGORIES, RelationCategory, Scene, SpatialRelation, UnknownObjectError
 
 PAIR_FEATURE_DIM = 8
 # Pair features plus the six-way one-hot. The sources print "12" for this
@@ -153,6 +153,12 @@ class ScoredScene:
     def above(self, threshold: float) -> tuple[SpatialRelation, ...]:
         """The relations with probability strictly above ``threshold``, built once."""
         return self.memo(("above", threshold), lambda: self.where(self.present(threshold)))
+
+    def row(self, object_id: int) -> int:
+        """The row of ``object_id``; ``UnknownObjectError`` when it is not scored."""
+        if object_id not in self.ids:
+            raise UnknownObjectError(f"no object with id {object_id} in the scored scene")
+        return self.ids.index(object_id)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.probabilities)))

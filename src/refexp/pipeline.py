@@ -13,8 +13,7 @@ import numpy as np
 
 from .mlp import MlpModel
 from .networks import ScoredScene, distinct_relations, score_scene
-from .scene import (PipelineConfig, ReferringExpression, Scene, SpatialRelation,
-                    UnknownObjectError, render_phrase)
+from .scene import PipelineConfig, ReferringExpression, Scene, SpatialRelation, render_phrase
 
 
 class EmptyCandidatesError(Exception):
@@ -73,9 +72,7 @@ def build_candidate_sets(scored: ScoredScene, target_id: int,
     at the threshold is excluded. The target-independent stages are computed
     when first read, once per threshold, and shared across the scene's targets.
     """
-    if target_id not in scored.ids:
-        raise UnknownObjectError(f"no object with id {target_id} in the scored scene")
-    return RelationSets(scored, cfg.presence_threshold, scored.ids.index(target_id))
+    return RelationSets(scored, cfg.presence_threshold, scored.row(target_id))
 
 
 def eliminate_ambiguous(sets: RelationSets, scene: Scene) -> tuple[SpatialRelation, ...]:
@@ -121,9 +118,10 @@ def describe_oracle(rpn: MlpModel, rin: MlpModel, scene: Scene, target_id: int,
 
     Shares only the scene scoring (``scored``, read through its relations above
     the threshold) with the main path; the selection logic is re-implemented
-    with plain loops as a cross-check.
+    with plain loops as a cross-check. A held relation naming an id the scene
+    lacks raises ``UnknownObjectError``.
     """
-    scene.object_by_id(target_id)
+    kind = scene.object_by_id(target_id).type_name
     scored = score_scene(rpn, rin, scene) if scored is None else scored
     threshold = cfg.presence_threshold
     held: dict[tuple, SpatialRelation] = {}
@@ -131,40 +129,24 @@ def describe_oracle(rpn: MlpModel, rin: MlpModel, scene: Scene, target_id: int,
         if rel.probability > threshold:
             held[(rel.target_id, rel.reference_id, rel.category)] = rel
 
-    ids = scene.object_ids()
+    # one pass each: the type of every id held, then per (object, category) the most
+    # confident relation; of tied references, the lowest id
+    held_ids = {oid for key in held for oid in key[:2]}
+    type_of = {oid: scene.object_by_id(oid).type_name for oid in held_ids}
     best: dict[tuple, SpatialRelation] = {}
-    for i in ids:
-        for cat in sorted({c for (_, _, c) in held}, key=lambda c: c.index):
-            winner = None
-            for j in ids:
-                rel = held.get((i, j, cat))
-                if rel is None:
-                    continue
-                if winner is None:
-                    winner = rel
-                elif rel.confidence > winner.confidence:
-                    winner = rel
-                elif rel.confidence == winner.confidence and rel.reference_id < winner.reference_id:
-                    winner = rel
-            if winner is not None:
-                best[(i, cat)] = winner
+    for (i, j, cat), rel in held.items():
+        winner = best.get((i, cat))
+        if (winner is None or rel.confidence > winner.confidence
+                or (rel.confidence == winner.confidence and j < winner.reference_id)):
+            best[(i, cat)] = rel
 
-    def type_name(oid: int) -> str:
-        return scene.object_by_id(oid).type_name
-
+    # a relation is mirrored when a type-mate's best in its category has a reference of its type
+    mates = [u for u, name in type_of.items() if name == kind and u != target_id]
     survivors = []
     for (i, j, cat), rel in held.items():
-        if i != target_id:
-            continue
-        mirrored = False
-        for (u, ucat), comp in best.items():
-            if u == target_id:
-                continue
-            if (ucat is cat and type_name(u) == type_name(i)
-                    and type_name(comp.reference_id) == type_name(j)):
-                mirrored = True
-                break
-        if not mirrored:
+        if i == target_id and not any(
+                (u, cat) in best and type_of[best[(u, cat)].reference_id] == type_of[j]
+                for u in mates):
             survivors.append(rel)
 
     if not survivors:

@@ -3,8 +3,10 @@
 import numpy as np
 
 from refexp.datagen import SceneGenSpec, generate_scenes, mirrored_duplicate_scenes
-from refexp.networks import ScoredScene, encode_pair, encode_relation
-from refexp.scene import CATEGORIES, BoundingBox, Scene, SceneObject
+from refexp.networks import ScoredScene, encode_pair, encode_relation, score_scene
+from refexp.pipeline import EmptyCandidatesError
+from refexp.scene import (CATEGORIES, BoundingBox, ReferringExpression, Scene, SceneObject,
+                          render_phrase)
 
 
 def split_pairs(pairs, seed=0, fraction=0.1):
@@ -87,3 +89,67 @@ def set_fields(sets):
     row[sets.target] = True
     return (held_relations(held), held.where(row & ~np.isnan(held.probabilities)),
             held.where(sets.best), held.where(sets.best & ~row))
+
+
+def frozen_describe_oracle(rpn, rin, scene, target_id, threshold=0.5, *, scored=None):
+    """The twin as it was before its one-pass rewrite, kept as its reference: the
+    per-(object, category) maxima found by probing every (object, category,
+    reference) triple, and every competitor's types looked up one by one."""
+    scene.object_by_id(target_id)
+    scored = score_scene(rpn, rin, scene) if scored is None else scored
+    held = {}
+    for rel in scored.above(threshold):
+        if rel.probability > threshold:
+            held[(rel.target_id, rel.reference_id, rel.category)] = rel
+
+    ids = scene.object_ids()
+    best = {}
+    for i in ids:
+        for cat in sorted({c for (_, _, c) in held}, key=lambda c: c.index):
+            winner = None
+            for j in ids:
+                rel = held.get((i, j, cat))
+                if rel is None:
+                    continue
+                if winner is None:
+                    winner = rel
+                elif rel.confidence > winner.confidence:
+                    winner = rel
+                elif rel.confidence == winner.confidence and rel.reference_id < winner.reference_id:
+                    winner = rel
+            if winner is not None:
+                best[(i, cat)] = winner
+
+    def type_name(oid):
+        return scene.object_by_id(oid).type_name
+
+    survivors = []
+    for (i, j, cat), rel in held.items():
+        if i != target_id:
+            continue
+        mirrored = False
+        for (u, ucat), comp in best.items():
+            if u == target_id:
+                continue
+            if (ucat is cat and type_name(u) == type_name(i)
+                    and type_name(comp.reference_id) == type_name(j)):
+                mirrored = True
+                break
+        if not mirrored:
+            survivors.append(rel)
+
+    if not survivors:
+        raise EmptyCandidatesError("every candidate relation was pruned or below threshold")
+    chosen = survivors[0]
+    for rel in survivors[1:]:
+        if rel.confidence > chosen.confidence:
+            chosen = rel
+        elif rel.confidence == chosen.confidence:
+            if rel.reference_id < chosen.reference_id:
+                chosen = rel
+            elif rel.reference_id == chosen.reference_id and rel.category.index < chosen.category.index:
+                chosen = rel
+    target = scene.object_by_id(chosen.target_id)
+    reference = scene.object_by_id(chosen.reference_id)
+    return ReferringExpression(chosen.target_id, chosen.reference_id, chosen.category,
+                               render_phrase(target, reference, chosen.category))

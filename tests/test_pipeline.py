@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refexp.datagen import SceneGenSpec, generate_scenes, mirrored_duplicate_scenes
 from refexp.krreg import krreg_describe
 from refexp.mlp import MlpModel
 from refexp.networks import ScoredScene, score_scene
@@ -12,8 +13,9 @@ from refexp.pipeline import (EmptyCandidatesError, build_candidate_sets, describ
 from refexp.scene import (PipelineConfig, ReferringExpression, RelationCategory, Scene,
                           SpatialRelation, UnknownObjectError, render_phrase, scene_from_json)
 
-from helpers import (crowded_scene_doc, full_batch_scored, held_relations, make_scene,
-                     mixed_corpus, scored_from_relations, set_fields, two_books_and_mouse)
+from helpers import (crowded_scene_doc, frozen_describe_oracle, full_batch_scored, held_relations,
+                     make_scene, mixed_corpus, scored_from_relations, set_fields,
+                     two_books_and_mouse)
 
 R = RelationCategory
 
@@ -359,8 +361,8 @@ class TestDescribe:
 
     @pytest.mark.parametrize("scored_ids", [(0, 1, 999), (0, 1, 2, 999), (0, 999)])
     def test_scoring_of_another_scene_named(self, rpn_model, rin_model, scored_ids):
-        """A ``scored`` holding an id the scene lacks is named by describe and krreg,
-        also once the scene's own type codes are cached."""
+        """A ``scored`` holding an id the scene lacks is named by describe, the twin and
+        krreg, also once the scene's own type codes are cached."""
         scene = two_books_and_mouse()
         for target in scene.object_ids():
             krreg_describe(rpn_model, scene, target,
@@ -368,6 +370,7 @@ class TestDescribe:
         foreign = scored_from_relations(rel(a, b, R.RIGHT, 0.9, 0.8)
                                         for a in scored_ids for b in scored_ids if a != b)
         for method in (lambda: describe(rpn_model, rin_model, scene, 0, scored=foreign),
+                       lambda: describe_oracle(rpn_model, rin_model, scene, 0, scored=foreign),
                        lambda: krreg_describe(rpn_model, scene, 0, scored=foreign)):
             with pytest.raises(UnknownObjectError, match="no object with id 999"):
                 method()
@@ -529,9 +532,108 @@ class TestDescribeOracle:
         with pytest.raises(EmptyCandidatesError):
             describe_oracle(rpn_model, rin_model, scene, 0)
 
+    @pytest.mark.parametrize("scene_ids, target", [((0, 5, 2), 5), ((0, 1), 0)])
+    def test_foreign_or_partial_scoring_named_by_every_method(self, rpn_model, rin_model,
+                                                              scene_ids, target):
+        """A scoring of ids (0, 1, 2) on a scene that lacks one of them raises
+        UnknownObjectError from describe, the twin and krreg alike, whether or not
+        the scoring also lacks the target."""
+        names = ("cup", "book", "mouse")
+        scene = make_scene([(oid, names[k], (10 + 30 * k, 40, 10, 10))
+                            for k, oid in enumerate(scene_ids)])
+        foreign = scored_from_relations(rel(a, b, R.LEFT, 0.9, 0.8)
+                                        for a in (0, 1, 2) for b in (0, 1, 2) if a != b)
+        for method in (lambda: describe(rpn_model, rin_model, scene, target, scored=foreign),
+                       lambda: describe_oracle(rpn_model, rin_model, scene, target, scored=foreign),
+                       lambda: krreg_describe(rpn_model, scene, target, scored=foreign)):
+            with pytest.raises(UnknownObjectError, match="no object with id [125] "):
+                method()
+
+    def test_matches_the_frozen_twin_on_the_corpora(self, rpn_model, rin_model):
+        """Every target of corpora A, B and M and of two crowded scenes gets the
+        outcome of the twin as it was before its one-pass rewrite."""
+        corpus = (generate_scenes(SceneGenSpec(seed=11), 300)
+                  + generate_scenes(SceneGenSpec(min_objects=8, max_objects=12,
+                                                 duplicate_type_probability=1.0, seed=11), 100)
+                  + mirrored_duplicate_scenes(200, seed=8)
+                  + [scene_from_json(crowded_scene_doc(n)) for n in (16, 32)])
+        cases = 0
+        for scene in corpus:
+            scored = score_scene(rpn_model, rin_model, scene)
+            for target in scene.object_ids():
+                assert outcome(lambda: describe_oracle(rpn_model, rin_model, scene, target,
+                                                       scored=scored)) == \
+                    outcome(lambda: frozen_describe_oracle(rpn_model, rin_model, scene, target,
+                                                           scored=scored))
+                cases += 1
+        assert cases == 1493 + 993 + 800 + 16 + 32
+
+    def test_lower_reference_wins_a_tie_and_decides_the_mirror(self):
+        """Mate book 1 holds "right of" at 0.7 against both the mouse (id 2) and the cup
+        (id 3); its best is the mouse, so target book 0's more confident relation to the
+        mouse is mirrored and its relation to the cup survives."""
+        scene = make_scene([(0, "book", (60, 40, 10, 10)), (1, "book", (80, 40, 10, 10)),
+                            (2, "mouse", (10, 40, 10, 10)), (3, "cup", (30, 40, 10, 10))])
+        scored = scored_from_relations([
+            rel(0, 2, R.RIGHT, 0.9, 0.8), rel(0, 3, R.RIGHT, 0.9, 0.6),
+            rel(1, 2, R.RIGHT, 0.9, 0.7), rel(1, 3, R.RIGHT, 0.9, 0.7)])
+        for method in (describe, describe_oracle, frozen_describe_oracle):
+            got = method(None, None, scene, 0, scored=scored)
+            assert got.phrase == "The book to the right of the cup"
+
+    def test_reads_only_above(self, rpn_model, rin_model):
+        """Given a stand-in that exposes only ``above(threshold)`` of a real scoring,
+        the twin gives what it gives with that scoring."""
+        class AboveOnly:
+            __slots__ = ("above",)
+
+            def __init__(self, scored):
+                self.above = scored.above
+
+        for threshold in (0.3, 0.5):
+            cfg = PipelineConfig(presence_threshold=threshold)
+            for scene in mixed_corpus() + [scene_from_json(crowded_scene_doc(32))]:
+                scored = score_scene(rpn_model, rin_model, scene)
+                for target in scene.object_ids():
+                    assert outcome(lambda: describe_oracle(rpn_model, rin_model, scene, target,
+                                                           cfg, scored=AboveOnly(scored))) == \
+                        outcome(lambda: describe_oracle(rpn_model, rin_model, scene, target,
+                                                        cfg, scored=scored))
+
     def test_agrees_on_small_random_corpus(self, rpn_model, rin_model):
-        from refexp.datagen import SceneGenSpec, generate_scenes
         from refexp.evaluation import pipeline_oracle_check
         scenes = generate_scenes(SceneGenSpec(min_objects=2, max_objects=6, seed=99), 60)
         matches, total = pipeline_oracle_check(rpn_model, rin_model, scenes)
         assert matches == total
+
+
+@st.composite
+def tied_scorings(draw):
+    """A scene of 2-7 objects over at most three types, and a scoring of some of its
+    ordered pairs with confidences from {0.6, 0.7, 0.8}, so equal-confidence
+    references are common."""
+    n = draw(st.integers(2, 7))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    types = draw(st.lists(st.sampled_from(["book", "cup", "mouse"]), min_size=n, max_size=n))
+    scene = make_scene((oid, name, (5 * k, 40, 4, 4))
+                       for k, (oid, name) in enumerate(zip(ids, types)))
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    relations = draw(st.lists(st.builds(
+        lambda pair, cat, p, c: rel(*pair, cat, p, c), st.sampled_from(pairs),
+        st.sampled_from([R.LEFT, R.RIGHT, R.ON_TOP]), st.sampled_from([0.4, 0.6, 0.9]),
+        st.sampled_from([0.6, 0.7, 0.8])), min_size=1, max_size=3 * n))
+    return scene, scored_from_relations(relations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_scorings())
+def test_twin_matches_frozen_twin_and_describe_on_ties(scoring):
+    """The one-pass twin picks what the frozen twin picks for every target, and what
+    describe picks for every scored target."""
+    scene, scored = scoring
+    for target in scene.object_ids():
+        got = outcome(lambda: describe_oracle(None, None, scene, target, scored=scored))
+        assert got == outcome(lambda: frozen_describe_oracle(None, None, scene, target,
+                                                             scored=scored))
+        if target in scored.ids:
+            assert got == outcome(lambda: describe(None, None, scene, target, scored=scored))
