@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_flags(args)
         return args.func(args)
     except (SceneFormatError, DatasetFormatError, ModelFormatError, NetworkShapeError,
-            UnknownObjectError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+            UnknownObjectError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

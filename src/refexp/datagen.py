@@ -18,7 +18,8 @@ import numpy as np
 from .networks import PAIR_FEATURE_DIM, RIN_FEATURE_DIM, encode_pair  # noqa: F401
 from .rules import rule_holds, rule_margins, rule_table  # noqa: F401
 from .scene import (CATEGORIES, BoundingBox, RelationCategory, Scene, SceneFormatError,
-                    SceneObject, _is_finite_number, clamp_box, scene_from_json, scene_to_json)
+                    SceneObject, _finite_numbers, _is_finite_number, _read_json, clamp_box,
+                    scene_from_json, scene_to_json)
 
 logger = logging.getLogger(__name__)
 
@@ -347,17 +348,13 @@ def normalize_predicate(predicate: str) -> str:
 
 def load_synonym_map(path: str) -> dict[str, RelationCategory]:
     """JSON object mapping predicate phrases to category names."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"synonym map is not valid JSON: {exc}") from None
+    doc = _read_json(path, DatasetFormatError, "synonym map")
     if not isinstance(doc, dict):
         raise DatasetFormatError("synonym map must be a JSON object")
     by_value = {cat.value: cat for cat in CATEGORIES}
     mapping = {}
     for predicate, name in doc.items():
-        if name not in by_value:
+        if not isinstance(name, str) or name not in by_value:
             raise DatasetFormatError(f"synonym map value {name!r} is not a relation category")
         mapping[normalize_predicate(predicate)] = by_value[name]
     return mapping
@@ -380,11 +377,7 @@ def _endpoint_box(entry: object, where: str) -> tuple[float, float, float, float
 
 def read_vg_annotations(path: str) -> list[dict]:
     """Parse and structurally validate an annotation file; extras are tolerated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"annotation file is not valid JSON: {exc}") from None
+    doc = _read_json(path, DatasetFormatError, "annotation file")
     _require(isinstance(doc, list), "file", "top level must be a JSON array of images")
     images = []
     for i, image in enumerate(doc):
@@ -457,29 +450,29 @@ def extract_rpn_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
     """Presence samples from annotated relationships, capped per category.
 
     The annotated subject is the target, the annotated object the reference.
-    Unmapped predicates are skipped and counted; an empty file yields an empty
-    dataset with a warning.
+    Unmapped predicates are skipped and counted, and so is a relationship with
+    a box outside the image or with equal clamped boxes, between which no rule
+    holds; an empty file yields an empty dataset with a warning.
     """
     if per_class_cap <= 0:
         raise ValueError("per_class_cap must be positive")
     synonyms = DEFAULT_PREDICATE_SYNONYMS if synonym_map is None else synonym_map
     pools: dict[RelationCategory, list[RpnSample]] = {cat: [] for cat in CATEGORIES}
-    skipped = 0
-    dropped_boxes = 0
+    skipped = dropped = 0
     for width, height, boxes, relations in _annotated_images(path, synonyms):
         # the rows encode_pair builds: clamped unit boxes of target then reference
         unit = np.clip(boxes / (width, height, width, height), 0.0, 1.0)
         for cat, subject, reference in relations:
             if cat is None:
                 skipped += 1
-            elif subject is None or reference is None:
-                dropped_boxes += 1
+            elif subject is None or reference is None or subject == reference:
+                dropped += 1
             else:
                 pools[cat].append(RpnSample(np.concatenate((unit[subject], unit[reference])), cat))
     if skipped:
         logger.info("skipped %d relationships with unmapped predicates", skipped)
-    if dropped_boxes:
-        logger.info("dropped %d relationships with boxes outside the image", dropped_boxes)
+    if dropped:
+        logger.info("dropped %d relationships with a box outside the image or equal boxes", dropped)
     rng = np.random.default_rng(seed)
     samples = [sample for cat in CATEGORIES for sample in _capped(rng, pools[cat], per_class_cap)]
     if not samples:
@@ -552,12 +545,10 @@ def _read_jsonl(path: str):
 
 def _read_features(doc: object, lineno: int, dim: int) -> np.ndarray:
     _require(isinstance(doc, dict), f"line {lineno}", "must be a JSON object")
-    features = doc.get("features")
-    _require(isinstance(features, list) and len(features) == dim,
-             f"line {lineno}.features", f"must be a list of {dim} numbers")
-    for v in features:
-        _require(_is_finite_number(v), f"line {lineno}.features", f"must be finite numbers, got {v!r}")
-    return np.asarray(features, dtype=np.float64)
+    numbers = _finite_numbers(doc.get("features"))
+    _require(numbers is not None and len(numbers) == dim,
+             f"line {lineno}.features", f"must be a list of {dim} finite numbers")
+    return numbers
 
 
 def read_rpn_samples(path: str) -> list[RpnSample]:

@@ -153,11 +153,20 @@ def _count(counts: MethodCounts, verdict: str | None) -> None:
         counts.ambiguous += 1
 
 
-def _score(rpn: MlpModel, rin: MlpModel, scene: Scene, scene_index: int):
-    """The scene's scoring, None for an empty scene, which has no targets."""
-    if len(scene.objects) == 1:
-        raise ValueError(f"scene {scene_index} has 1 object; a scene needs 0 or at least 2")
-    return pipeline.score_scene(rpn, rin, scene) if scene.objects else None
+def _cases(rpn: MlpModel, rin: MlpModel, scenes: list[Scene], cfg: PipelineConfig):
+    """Each case as (scene index, scene, target id, the scene's scoring, describe's
+    expression or None), in scene order, then target id order. Each scene is
+    scored once, for all of its targets; an empty scene has none."""
+    for scene_index, scene in enumerate(scenes):
+        if len(scene.objects) == 1:
+            raise ValueError(f"scene {scene_index} has 1 object; a scene needs 0 or at least 2")
+        scored = pipeline.score_scene(rpn, rin, scene) if scene.objects else None
+        for target_id in scene.object_ids():
+            try:
+                ours = describe(rpn, rin, scene, target_id, cfg, scored=scored)
+            except EmptyCandidatesError:
+                ours = None
+            yield scene_index, scene, target_id, scored, ours
 
 
 def compare_corpus(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
@@ -171,23 +180,16 @@ def compare_corpus(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
     if not scenes:
         raise ValueError("corpus is empty")
     report = EvalReport()
-    for scene_index, scene in enumerate(scenes):
-        scored = _score(rpn, rin, scene, scene_index)
-        for target_id in scene.object_ids():
-            try:
-                ours = describe(rpn, rin, scene, target_id, cfg, scored=scored)
-            except EmptyCandidatesError:
-                ours = None
-            theirs = krreg_describe(rpn, scene, target_id, cfg, scored=scored)
-            ours_verdict = None if ours is None else ambiguity_oracle(scene, ours)
-            krreg_verdict = None if theirs is None else ambiguity_oracle(scene, theirs)
-            _count(report.ours, ours_verdict)
-            _count(report.krreg, krreg_verdict)
-            ours_phrase = None if ours is None else ours.phrase
-            krreg_phrase = None if theirs is None else theirs.phrase
-            report.records.append(CaseRecord(scene_index, target_id, ours_phrase, ours_verdict,
-                                             krreg_phrase, krreg_verdict,
-                                             ours_phrase == krreg_phrase))
+    for scene_index, scene, target_id, scored, ours in _cases(rpn, rin, scenes, cfg):
+        theirs = krreg_describe(rpn, scene, target_id, cfg, scored=scored)
+        ours_verdict = None if ours is None else ambiguity_oracle(scene, ours)
+        krreg_verdict = None if theirs is None else ambiguity_oracle(scene, theirs)
+        _count(report.ours, ours_verdict)
+        _count(report.krreg, krreg_verdict)
+        ours_phrase = None if ours is None else ours.phrase
+        krreg_phrase = None if theirs is None else theirs.phrase
+        report.records.append(CaseRecord(scene_index, target_id, ours_phrase, ours_verdict,
+                                         krreg_phrase, krreg_verdict, ours_phrase == krreg_phrase))
     return report
 
 
@@ -198,20 +200,12 @@ def pipeline_oracle_check(rpn: MlpModel, rin: MlpModel, scenes: list[Scene],
     A case matches when both produce the identical phrase or both refuse with
     empty candidates. Each scene is scored once and shared by both.
     """
-    matches = 0
-    total = 0
-    for scene_index, scene in enumerate(scenes):
-        scored = _score(rpn, rin, scene, scene_index)
-        for target_id in scene.object_ids():
-            total += 1
-            try:
-                fast: str | None = describe(rpn, rin, scene, target_id, cfg, scored=scored).phrase
-            except EmptyCandidatesError:
-                fast = None
-            try:
-                slow: str | None = describe_oracle(rpn, rin, scene, target_id, cfg, scored=scored).phrase
-            except EmptyCandidatesError:
-                slow = None
-            if fast == slow:
-                matches += 1
+    matches = total = 0
+    for _, scene, target_id, scored, ours in _cases(rpn, rin, scenes, cfg):
+        total += 1
+        try:
+            twin: str | None = describe_oracle(rpn, rin, scene, target_id, cfg, scored=scored).phrase
+        except EmptyCandidatesError:
+            twin = None
+        matches += twin == (None if ours is None else ours.phrase)
     return matches, total

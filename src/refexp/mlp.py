@@ -15,6 +15,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .scene import _finite_numbers, _is_finite_number, _read_json
+
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
 
 _GRADIENT_CHECK_PARAM_CAP = 10_000
@@ -419,17 +421,13 @@ def _format_error(where: str, problem: str) -> ModelFormatError:
 
 
 def load_model(path: str) -> MlpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"file: not valid JSON ({exc})") from None
+    doc = _read_json(path, ModelFormatError, "weights file")
     if not isinstance(doc, dict):
         raise _format_error("file", "top level must be a JSON object")
     if doc.get("version") != _FORMAT_VERSION:
         raise _format_error("version", f"expected {_FORMAT_VERSION}, got {doc.get('version')!r}")
     dropout = doc.get("dropout")
-    if isinstance(dropout, bool) or not isinstance(dropout, (int, float)) or not 0 <= dropout < 1:
+    if not (_is_finite_number(dropout) and 0 <= dropout < 1):
         raise _format_error("dropout", f"expected a rate in [0, 1), got {dropout!r}")
     layers = doc.get("layers")
     if not isinstance(layers, list) or not layers:
@@ -450,18 +448,11 @@ def load_model(path: str) -> MlpModel:
         act = layer["activation"]
         if act not in ACTIVATIONS:
             raise _format_error(f"{where}.activation", f"unknown activation {act!r}")
-        if not isinstance(layer["w"], list) or len(layer["w"]) != n_in * n_out:
-            raise _format_error(f"{where}.w", f"expected {n_in * n_out} values")
-        if not isinstance(layer["b"], list) or len(layer["b"]) != n_out:
-            raise _format_error(f"{where}.b", f"expected {n_out} values")
-        try:
-            w = np.asarray(layer["w"], dtype=np.float64).reshape(n_out, n_in)
-            b = np.asarray(layer["b"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise _format_error(f"{where}.w", "values must be numbers") from None
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise _format_error(f"{where}.w", "values must be finite")
-        weights.append(w)
+        w, b = _finite_numbers(layer["w"]), _finite_numbers(layer["b"])
+        for key, numbers, size in (("w", w, n_in * n_out), ("b", b, n_out)):
+            if numbers is None or len(numbers) != size:
+                raise _format_error(f"{where}.{key}", f"expected a list of {size} finite numbers")
+        weights.append(w.reshape(n_out, n_in))
         biases.append(b)
         activations.append(act)
     try:

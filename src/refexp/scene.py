@@ -206,6 +206,26 @@ def _is_finite_number(v: object) -> bool:
         return False
 
 
+def _finite_numbers(values: object) -> np.ndarray | None:
+    """A list of exact ints and floats that ``_is_finite_number`` takes, as float64; else None."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        numbers = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return numbers if np.isfinite(numbers).all() else None
+
+
+def _read_json(path: str, error: type[ValueError], what: str) -> object:
+    """The JSON document in ``path``; a decode error is raised as ``error`` naming ``what``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from None
+
+
 def _reject_keys(doc: dict, keys: dict, where: str) -> None:
     """Name the first unknown key of ``doc``, else the first of ``keys`` it lacks."""
     for key in doc:
@@ -306,9 +326,4 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def load_scene(path: str) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError(f"not valid JSON: {exc}") from None
-    return scene_from_json(doc)
+    return scene_from_json(_read_json(path, SceneFormatError, "scene"))

@@ -121,6 +121,17 @@ class TestExtractVg:
                                                 "--cap", "2"))
         assert counts and max(counts.values()) == 2
 
+    @pytest.mark.parametrize("value", [["on_top"], {"on": "on_top"}], ids=["list", "object"])
+    def test_synonym_value_not_a_string_is_usage_error(self, tmp_path, capsys, annotations,
+                                                       value):
+        synonyms = tmp_path / "synonyms.json"
+        synonyms.write_text(json.dumps({"on": value}))
+        code = main(["extract-vg", "rpn", annotations, "--out", str(tmp_path / "out.jsonl"),
+                     "--synonyms", str(synonyms)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: synonym map value {value!r} "
+                                           "is not a relation category\n")
+
     @pytest.mark.parametrize("kind, extractor", [("rpn", extract_rpn_dataset),
                                                  ("rin", extract_rin_dataset)])
     def test_default_cap_is_the_extractors(self, tmp_path, annotations, kind, extractor):
@@ -248,6 +259,21 @@ class TestDescribe:
                      "--rpn", rpn_path, "--rin", rin_path])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["w", "b"])
+    @pytest.mark.parametrize("bad", ["0.5", True, 10 ** 400], ids=["string", "bool", "huge-int"])
+    def test_weight_not_a_finite_number_is_usage_error(self, tmp_path, capsys, model_files,
+                                                       key, bad):
+        rpn_path, rin_path = model_files
+        doc = json.loads(Path(rin_path).read_text())
+        doc["layers"][0][key][-1] = bad
+        Path(rin_path).write_text(json.dumps(doc))
+        scene = write_scene_file(tmp_path, two_books_and_mouse())
+        code = main(["describe", scene, "--target", "2", "--rpn", rpn_path, "--rin", rin_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: layers[0].{key}: expected a list of ")
+        assert err.count("\n") == 1
 
     def test_swapped_model_file_is_usage_error(self, tmp_path, capsys, model_files):
         rpn_path, rin_path = model_files
@@ -402,6 +428,16 @@ class TestUsage:
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-scenes", "--out", "{tmp}/file/s.jsonl", "--count", "2"],
+        ["gen-data", "rpn", "--out", "{tmp}/file/d.jsonl", "-n", "6"],
+    ], ids=lambda argv: argv[0])
+    def test_out_under_a_file_is_usage_error(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_extract_vg_missing_file(self, tmp_path, capsys):
         code = main(["extract-vg", "rpn", str(tmp_path / "nope.json"),

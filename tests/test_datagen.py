@@ -1,6 +1,7 @@
 """Synthetic corpora, JSONL round trips and the annotation extractor."""
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -205,6 +206,13 @@ class TestPredicates:
         with pytest.raises(DatasetFormatError):
             load_synonym_map(str(path))
 
+    @pytest.mark.parametrize("value", [["on_top"], {"on": "on_top"}], ids=["list", "object"])
+    def test_value_not_a_string_named(self, tmp_path, value):
+        path = tmp_path / "synonyms.json"
+        path.write_text(json.dumps({"on": value}))
+        with pytest.raises(DatasetFormatError, match=re.escape(repr(value))):
+            load_synonym_map(str(path))
+
 
 def annotation_doc():
     return [{
@@ -278,6 +286,19 @@ class TestAnnotations:
         samples = extract_rpn_dataset(str(path))
         assert len(samples) == 2
         assert {s.label for s in samples} == {RelationCategory.RIGHT, RelationCategory.BEHIND}
+
+    @pytest.mark.parametrize("subject, reference", [
+        ({"x": 10, "y": 10, "w": 20, "h": 20}, {"x": 10, "y": 10, "w": 20, "h": 20}),
+        ({"x": 90, "y": 10, "w": 20, "h": 20}, {"x": 90, "y": 10, "w": 30, "h": 20}),
+    ], ids=["equal", "equal-once-clamped"])
+    def test_extract_rpn_skips_self_pairs(self, tmp_path, caplog, subject, reference):
+        doc = annotation_doc()
+        doc[0]["relationships"] = [{"predicate": "on", "subject": subject, "object": reference}]
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(doc))
+        with caplog.at_level("INFO", logger="refexp.datagen"):
+            assert extract_rpn_dataset(str(path)) == []
+        assert "dropped 1 relationships" in caplog.text
 
     def test_extract_rpn_cap(self, tmp_path):
         doc = annotation_doc()

@@ -200,7 +200,7 @@ def reference_extract_rpn(path, per_class_cap=990, seed=0):
                 continue
             subject = datagen._clamped(rel["subject"], image["width"], image["height"])
             reference = datagen._clamped(rel["object"], image["width"], image["height"])
-            if subject is None or reference is None:
+            if subject is None or reference is None or subject == reference:
                 continue
             scene = Scene(image["width"], image["height"],
                           (SceneObject(0, "subject", subject), SceneObject(1, "object", reference)))
@@ -455,7 +455,8 @@ def test_criterion_3_rpn_recipe_draws_about_one_scene_per_sample(monkeypatch):
 
 def annotation_file(tmp_path):
     """Two images whose relationships share, repeat and mirror boxes; one box lies
-    outside its image and one appears only in an unmapped relationship."""
+    outside its image, one appears only in an unmapped relationship, and one
+    relationship joins a box to itself."""
     a = {"x": 10, "y": 10, "w": 20, "h": 20}
     b = {"x": 50, "y": 40, "w": 20, "h": 30}
     c = {"x": 15, "y": 70, "w": 60, "h": 20}

@@ -1,6 +1,7 @@
 """Trainer, forward pass, gradient check and weights-file round trips."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -269,4 +270,17 @@ class TestSerialization:
         doc["layers"][1]["activation"] = "maxout"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="activation"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key", ["w", "b"])
+    @pytest.mark.parametrize("bad", ["0.5", True, 10 ** 400, math.nan, None],
+                             ids=["string", "bool", "huge-int", "nan", "null"])
+    def test_weight_not_a_finite_number_named(self, tmp_path, key, bad):
+        model = init_model(rpn_layer_specs(), 5)
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][1][key][-1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=rf"^layers\[1\]\.{key}: expected a list of \d+ "):
             load_model(str(path))

@@ -2,13 +2,14 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from refexp.scene import (CATEGORIES, BoundingBox, PipelineConfig, RelationCategory, Scene,
-                          SceneFormatError, SceneObject, UnknownObjectError,
-                          canonical_type_name, clamp_box, load_scene, render_phrase,
-                          scene_from_json, scene_to_json)
+                          SceneFormatError, SceneObject, UnknownObjectError, _finite_numbers,
+                          _is_finite_number, canonical_type_name, clamp_box, load_scene,
+                          render_phrase, scene_from_json, scene_to_json)
 
 from helpers import crowded_scene_doc, make_scene
 
@@ -287,3 +288,34 @@ def test_non_finite_box_number_rejected_property(doc, data, value):
     entry["box"][data.draw(st.integers(0, 3))] = value
     with pytest.raises(SceneFormatError, match="finite"):
         scene_from_json(doc)
+
+
+# the smallest integer that float() rounds up past the largest float
+_FLOAT_RANGE_END = 2**1024 - 2**970
+
+# the scalars json.load gives: ints of any size, bools, strings, None, and
+# floats with infinities and NaN
+json_scalars = st.one_of(
+    st.integers(), st.integers(2**53, 2**70), st.integers(-10**400, 10**400),
+    st.sampled_from([_FLOAT_RANGE_END - 1, _FLOAT_RANGE_END, -_FLOAT_RANGE_END]),
+    st.floats(), st.booleans(), st.text(max_size=3), st.none())
+
+
+@settings(max_examples=300)
+@given(st.lists(json_scalars, max_size=6))
+@example([1.5, math.nan]).via("a NaN")
+@example([2, -math.inf]).via("an infinity")
+@example([0.5, True]).via("a bool")
+@example([_FLOAT_RANGE_END - 1, _FLOAT_RANGE_END]).via("the end of the float range")
+@example([2**53 + 1, 0.1]).via("an int that rounds")
+def test_finite_numbers_is_the_number_rule_over_a_list(values):
+    numbers = _finite_numbers(values)
+    assert (numbers is not None) == all(map(_is_finite_number, values))
+    if numbers is not None:
+        assert numbers.dtype == np.float64
+        assert numbers.tobytes() == np.array([float(v) for v in values], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("values", [(1.0, 2.0), {"0": 1.0}, "12", 1.0, None])
+def test_finite_numbers_takes_only_a_list(values):
+    assert _finite_numbers(values) is None
