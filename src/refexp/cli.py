@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,6 +47,15 @@ _FLAG_CHECKS = (
 )
 
 
+_Kind = namedtuple("_Kind", "read pairs specs write synth extract")  # what a dataset kind uses
+_KINDS = {
+    "rpn": _Kind(datagen.read_rpn_samples, datagen.rpn_training_pairs, rpn_layer_specs,
+                 datagen.write_rpn_samples, datagen.synth_rpn_dataset, datagen.extract_rpn_dataset),
+    "rin": _Kind(datagen.read_rin_samples, datagen.rin_training_pairs, rin_layer_specs,
+                 datagen.write_rin_samples, datagen.synth_rin_dataset, datagen.extract_rin_dataset),
+}
+
+
 def _check_flags(args: argparse.Namespace) -> None:
     for flags, requirement, test in _FLAG_CHECKS:
         for flag in flags:
@@ -77,14 +87,8 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.kind == "rpn":
-        samples = datagen.read_rpn_samples(args.dataset)
-        pairs = datagen.rpn_training_pairs(samples)
-        specs = rpn_layer_specs()
-    else:
-        samples = datagen.read_rin_samples(args.dataset)
-        pairs = datagen.rin_training_pairs(samples)
-        specs = rin_layer_specs()
+    kind = _KINDS[args.kind]
+    pairs = kind.pairs(kind.read(args.dataset))
     if len(pairs) < 10:
         raise DatasetFormatError("dataset too small to split; need at least 10 samples")
 
@@ -97,7 +101,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       max_epochs=args.epochs, patience=args.patience,
                       validation_fraction=args.val_fraction, seed=args.seed)
-    model, report = train(rest, specs, cfg, dropout_rate=args.dropout)
+    model, report = train(rest, kind.specs(), cfg, dropout_rate=args.dropout)
     save_model(model, args.out)
 
     rows = [("train", report.best_train_accuracy),
@@ -180,13 +184,8 @@ def cmd_gen_scenes(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = SceneGenSpec(seed=args.seed)
-    if args.kind == "rpn":
-        samples = datagen.synth_rpn_dataset(spec, args.n)
-        datagen.write_rpn_samples(args.out, samples)
-    else:
-        samples = datagen.synth_rin_dataset(spec, args.n)
-        datagen.write_rin_samples(args.out, samples)
+    samples = _KINDS[args.kind].synth(SceneGenSpec(seed=args.seed), args.n)
+    _KINDS[args.kind].write(args.out, samples)
     print(f"wrote {len(samples)} {args.kind} samples to {args.out}")
     return 0
 
@@ -194,12 +193,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_extract_vg(args: argparse.Namespace) -> int:
     synonyms = datagen.load_synonym_map(args.synonyms) if args.synonyms else None
     cap = {} if args.cap is None else {"per_class_cap": args.cap}
-    if args.kind == "rpn":
-        samples = datagen.extract_rpn_dataset(args.annotations, synonyms, seed=args.seed, **cap)
-        datagen.write_rpn_samples(args.out, samples)
-    else:
-        samples = datagen.extract_rin_dataset(args.annotations, synonyms, seed=args.seed, **cap)
-        datagen.write_rin_samples(args.out, samples)
+    samples = _KINDS[args.kind].extract(args.annotations, synonyms, seed=args.seed, **cap)
+    _KINDS[args.kind].write(args.out, samples)
     print(f"wrote {len(samples)} {args.kind} samples to {args.out}")
     return 0
 
@@ -217,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a scorer on a JSONL dataset")
-    p.add_argument("kind", choices=("rpn", "rin"))
+    p.add_argument("kind", choices=tuple(_KINDS))
     p.add_argument("dataset", help="JSONL sample file")
     p.add_argument("--out", required=True, help="weights file to write")
     p.add_argument("--seed", type=int, default=0)
@@ -270,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_scenes)
 
     p = sub.add_parser("gen-data", help="write a synthetic training dataset")
-    p.add_argument("kind", choices=("rpn", "rin"))
+    p.add_argument("kind", choices=tuple(_KINDS))
     p.add_argument("--out", required=True)
     p.add_argument("-n", type=int, default=6000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("extract-vg", help="build a dataset from relationship annotations")
-    p.add_argument("kind", choices=("rpn", "rin"))
+    p.add_argument("kind", choices=tuple(_KINDS))
     p.add_argument("annotations", help="annotation JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--cap", type=int, help="per-category sample cap (default: the extractor's)")

@@ -11,15 +11,17 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 # perfbench/tracing.py patches encode_pair, rule_holds and rule_margins on this module
-from .networks import PAIR_FEATURE_DIM, RIN_FEATURE_DIM, encode_pair  # noqa: F401
+from .networks import (_ONE_HOT, PAIR_FEATURE_DIM, RIN_FEATURE_DIM, _unit_boxes,  # noqa: F401
+                       encode_pair)
 from .rules import rule_holds, rule_margins, rule_table  # noqa: F401
 from .scene import (CATEGORIES, BoundingBox, RelationCategory, Scene, SceneFormatError,
-                    SceneObject, _finite_numbers, _is_finite_number, _read_json, clamp_box,
-                    scene_from_json, scene_to_json)
+                    SceneObject, _decode_error, _finite_numbers, _is_finite_number, _read_json,
+                    clamp_box, scene_from_json, scene_to_json)
 
 logger = logging.getLogger(__name__)
 
@@ -179,104 +181,98 @@ def _archetype_pair_scene(spec: SceneGenSpec, rng: np.random.Generator,
                   SceneObject(1, "object", BoundingBox(*second))))
 
 
+def _synthesize(kind: str, spec: SceneGenSpec, n: int, quotas: list[int], draw, label) -> list:
+    """The feature rows of an n-sample synthesis, one pool per quota. Each block of
+    scenes ``draw(rng, step)`` gives is padded with NaN boxes into one (scenes, m, 4)
+    array, and one ``rule_table`` call scores its ordered pairs of distinct boxes.
+    ``label(boxes, unit boxes, pairs, margins)`` gives each candidate's pool slot and a
+    function from candidate indices to feature rows. Pools fill in candidate order."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    pools: list[list[np.ndarray]] = [[] for _ in quotas]
+    rng = np.random.default_rng(spec.seed)
+    scored = 0
+    for calls, (start, stop) in enumerate(_blocks(n), 1):
+        drawn = [draw(rng, step) for step in range(start, stop)]
+        sizes = np.array([len(b) for b in drawn])
+        real = np.arange(sizes.max()) < sizes[:, None]
+        boxes = np.full(real.shape + (4,), np.nan)
+        boxes[real] = np.concatenate(drawn)
+        # (scene, target, reference) indices of the ordered pairs of distinct real boxes
+        pairs = scenes, targets, references = np.nonzero(
+            real[:, :, None] & real[:, None] & ~np.eye(real.shape[1], dtype=bool))
+        scored += len(scenes)
+        margins = rule_table(boxes[scenes, targets], boxes[scenes, references],
+                             spec.image_width, spec.image_height)
+        unit = _unit_boxes(boxes, spec.image_width, spec.image_height)
+        slots, rows = label(boxes, unit, pairs, margins)
+        picked = [np.flatnonzero(slots == k)[:quotas[k] - len(p)] for k, p in enumerate(pools)]
+        taken = iter(rows(np.concatenate(picked)))  # one call builds every row a pool takes
+        for pool, index in zip(pools, picked):
+            pool.extend(islice(taken, len(index)))
+        if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
+            logger.debug("%s synthesis: %d samples from %d scenes, %d rule_table calls, "
+                         "%d pairs scored", kind, n, stop, calls, scored)
+            return pools
+    raise RuntimeError("scene budget exhausted before the dataset was balanced")
+
+
 def synth_rpn_dataset(spec: SceneGenSpec, n: int) -> list[RpnSample]:
     """Rule-labeled pair samples, balanced across the six categories.
 
-    Each ordered pair with a clearly dominant firing rule contributes that
-    category until its share of n is filled; near-tie pairs are not emitted.
-    Scenes are scored a block at a time, and pairs are taken in (scene,
-    target, reference) order, so the block size does not change the result.
+    Cluttered scenes alternate with two-box archetype scenes. Each ordered pair
+    with a clearly dominant firing rule contributes that category until its
+    share of n is filled; near-tie pairs are not emitted.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    quotas = _share(n, len(CATEGORIES))
-    pools: list[list[RpnSample]] = [[] for _ in CATEGORIES]
-    rng = np.random.default_rng(spec.seed)
-    W, H = spec.image_width, spec.image_height
-    pairs = 0
-    for calls, (start, stop) in enumerate(_blocks(n), 1):
-        # alternate cluttered scenes with targeted two-box scenes
-        drawn = [_cluttered_boxes(spec, rng)[0] if step % 2 == 0
-                 else _archetype_boxes(spec, rng, (step // 2) % 3)
-                 for step in range(start, stop)]
-        boxes = np.concatenate(drawn)
-        # ordered pairs of distinct boxes of one scene, in (scene, target,
-        # reference) order: the k-th reference of a target is the k-th box of
-        # its scene, skipping the target itself
-        sizes = np.array([len(b) for b in drawn])
-        targets = np.repeat(np.arange(len(boxes)), np.repeat(sizes - 1, sizes))
-        first = np.repeat(np.cumsum(sizes) - sizes, sizes)[targets]
-        references = first + np.arange(len(targets)) - np.searchsorted(targets, targets)
-        references += references >= targets
-        pairs += len(targets)
+    def draw(rng: np.random.Generator, step: int) -> np.ndarray:
+        return (_cluttered_boxes(spec, rng)[0] if step % 2 == 0
+                else _archetype_boxes(spec, rng, (step // 2) % 3))
+
+    def label(boxes: np.ndarray, unit: np.ndarray, pairs: tuple, margins: np.ndarray):
         # the dominant rule is the largest margin, ties to the lowest category;
         # it is clear when it beats the runner-up (0.0 if none) by the gap
-        margins = rule_table(boxes[targets], boxes[references], W, H)
         ranked = np.where(np.isnan(margins), -np.inf, margins)
-        dominant = ranked.argmax(axis=1)
         runner_up, top = np.sort(ranked, axis=1)[:, -2:].T
-        clear = ~(top - np.maximum(runner_up, 0.0) < RPN_MARGIN_GAP)
-        for c, cat in enumerate(CATEGORIES):
-            if len(pools[c]) < quotas[c]:
-                picked = np.flatnonzero(clear & (dominant == c))[:quotas[c] - len(pools[c])]
-                features = np.hstack([boxes[targets[picked]], boxes[references[picked]]])
-                pools[c].extend(RpnSample(row, cat) for row in
-                                np.clip(features / (W, H, W, H, W, H, W, H), 0.0, 1.0))
-        if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
-            logger.debug("rpn synthesis: %d samples from %d scenes, %d rule_table calls, "
-                         "%d pairs scored", n, stop, calls, pairs)
-            return [sample for pool in pools for sample in pool]
-    raise RuntimeError("scene budget exhausted before the dataset was balanced")
+        clear = np.flatnonzero(~(top - np.maximum(runner_up, 0.0) < RPN_MARGIN_GAP))
+        scenes, targets, references = (axis[clear] for axis in pairs)
+        return ranked[clear].argmax(axis=1), lambda i: np.hstack([unit[scenes[i], targets[i]],
+                                                                  unit[scenes[i], references[i]]])
+
+    pools = _synthesize("rpn", spec, n, _share(n, len(CATEGORIES)), draw, label)
+    return [RpnSample(row, cat) for cat, pool in zip(CATEGORIES, pools) for row in pool]
 
 
 def synth_rin_dataset(spec: SceneGenSpec, n: int) -> list[RinSample]:
     """Nearest-reference informativeness samples, balanced per category and label.
 
-    For each target and category, the rule-satisfying reference closest to the
-    target (normalized center distance) is informative; other satisfiers are
-    not. Only clear cases are emitted: informative ones within
-    RIN_NEAR_DISTANCE, uninformative ones beyond RIN_FAR_DISTANCE. The band
-    between keeps the two labels apart in feature space. Blocks of scenes are
-    scored as in synth_rpn_dataset, padded with NaN boxes that satisfy no rule.
+    For each target of a cluttered scene and each category, the rule-satisfying
+    reference closest to the target (normalized center distance) is informative;
+    other satisfiers are not. Only clear cases are emitted: informative ones
+    within RIN_NEAR_DISTANCE, uninformative ones beyond RIN_FAR_DISTANCE. The
+    band between keeps the two labels apart in feature space.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    # one pool per (category, label), informative first
-    quotas = [q for share in _share(n, len(CATEGORIES)) for q in (share - share // 2, share // 2)]
-    pools: list[list[RinSample]] = [[] for _ in quotas]
-    one_hot = np.eye(len(CATEGORIES))
-    rng = np.random.default_rng(spec.seed)
     W, H = spec.image_width, spec.image_height
-    pairs = 0
-    for calls, (start, stop) in enumerate(_blocks(n), 1):
-        drawn = [_cluttered_boxes(spec, rng)[0] for _ in range(start, stop)]
-        sizes = np.array([len(b) for b in drawn])
-        pairs += int(sizes @ (sizes - 1))
-        ids = np.arange(sizes.max())
-        boxes = np.full((len(drawn), len(ids), 4), np.nan)
-        boxes[ids < sizes[:, None]] = np.concatenate(drawn)
-        holds = ~np.isnan(rule_table(boxes[:, :, None], boxes[:, None], W, H))
+
+    def label(boxes: np.ndarray, unit: np.ndarray, pairs: tuple, margins: np.ndarray):
+        holds = np.zeros((len(boxes), boxes.shape[1], boxes.shape[1], len(CATEGORIES)), dtype=bool)
+        holds[pairs] = ~np.isnan(margins)
         cx, cy = np.moveaxis(boxes[..., :2] + boxes[..., 2:] / 2.0, -1, 0)
         distance = np.hypot((cx[:, :, None] - cx[:, None]) / W, (cy[:, :, None] - cy[:, None]) / H)
         # nearest satisfier per (scene, target, category), ties to the lowest id
         nearest = np.where(holds, distance[..., None], np.inf).argmin(axis=2)
-        label = nearest[:, :, None] == ids[:, None]
-        clear = np.where(label, ~(distance > RIN_NEAR_DISTANCE)[..., None],
+        informative = nearest[:, :, None] == np.arange(boxes.shape[1])[:, None]
+        clear = np.where(informative, ~(distance > RIN_NEAR_DISTANCE)[..., None],
                          ~(distance < RIN_FAR_DISTANCE)[..., None])
         # candidates in (scene, target, category, reference) order
         scenes, targets, cats, references = np.nonzero((holds & clear).transpose(0, 1, 3, 2))
-        slots = 2 * cats + ~label[scenes, targets, references, cats]
-        # the rows encode_relation builds: clamped unit boxes, then the one-hot category
-        unit = np.clip(boxes / (W, H, W, H), 0.0, 1.0)
-        features = np.hstack([unit[scenes, targets], unit[scenes, references], one_hot[cats]])
-        for slot, pool in enumerate(pools):
-            picked = np.flatnonzero(slots == slot)[:quotas[slot] - len(pool)]
-            pool.extend(RinSample(row, slot % 2 == 0) for row in features[picked])
-        if all(len(pool) == quota for pool, quota in zip(pools, quotas)):
-            logger.debug("rin synthesis: %d samples from %d scenes, %d rule_table calls, "
-                         "%d pairs scored", n, stop, calls, pairs)
-            return [sample for pool in pools for sample in pool]
-    raise RuntimeError("scene budget exhausted before the dataset was balanced")
+        return (2 * cats + ~informative[scenes, targets, references, cats], lambda i: np.hstack(
+            [unit[scenes[i], targets[i]], unit[scenes[i], references[i]], _ONE_HOT[cats[i]]]))
+
+    # one pool per (category, label), informative first
+    quotas = [q for share in _share(n, len(CATEGORIES)) for q in (share - share // 2, share // 2)]
+    pools = _synthesize("rin", spec, n, quotas,
+                        lambda rng, step: _cluttered_boxes(spec, rng)[0], label)
+    return [RinSample(row, slot % 2 == 0) for slot, pool in enumerate(pools) for row in pool]
 
 
 def mirrored_duplicate_scenes(count: int, seed: int = 0) -> list[Scene]:
@@ -460,8 +456,7 @@ def extract_rpn_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
     pools: dict[RelationCategory, list[RpnSample]] = {cat: [] for cat in CATEGORIES}
     skipped = dropped = 0
     for width, height, boxes, relations in _annotated_images(path, synonyms):
-        # the rows encode_pair builds: clamped unit boxes of target then reference
-        unit = np.clip(boxes / (width, height, width, height), 0.0, 1.0)
+        unit = _unit_boxes(boxes, width, height)
         for cat, subject, reference in relations:
             if cat is None:
                 skipped += 1
@@ -494,10 +489,8 @@ def extract_rin_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
     synonyms = DEFAULT_PREDICATE_SYNONYMS if synonym_map is None else synonym_map
     # one pool per category of informative samples, then one per category of uninformative ones
     pools: list[list[RinSample]] = [[] for _ in range(2 * len(CATEGORIES))]
-    one_hot = np.eye(len(CATEGORIES))
     for width, height, boxes, relations in _annotated_images(path, synonyms):
-        # the rows encode_relation builds: clamped unit boxes, then the one-hot category
-        unit = np.clip(boxes / (width, height, width, height), 0.0, 1.0)
+        unit = _unit_boxes(boxes, width, height)
         annotated = {(subject, reference, cat.index) for cat, subject, reference in relations
                      if None not in (cat, subject, reference) and subject != reference}
         holds = np.nonzero(~np.isnan(rule_table(boxes[:, None], boxes[None, :], width, height)))
@@ -505,7 +498,7 @@ def extract_rin_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
         for first, label, triples in ((0, True, annotated), (len(CATEGORIES), False, unannotated)):
             for subject, reference, c in sorted(triples):
                 pools[first + c].append(RinSample(
-                    np.concatenate((unit[subject], unit[reference], one_hot[c])), label))
+                    np.concatenate((unit[subject], unit[reference], _ONE_HOT[c])), label))
     rng = np.random.default_rng(seed)
     samples = [sample for pool in pools for sample in _capped(rng, pool, per_class_cap)]
     if not samples:
@@ -515,75 +508,65 @@ def extract_rin_dataset(path: str, synonym_map: dict[str, RelationCategory] | No
 
 # --- JSONL persistence ----------------------------------------------------------
 
-def write_rpn_samples(path: str, samples: list[RpnSample]) -> None:
+def _write_jsonl(path: str, docs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps({"features": [float(v) for v in sample.features],
-                                 "label": sample.label.index}))
-            fh.write("\n")
+        fh.writelines(json.dumps(doc) + "\n" for doc in docs)
+
+
+def write_rpn_samples(path: str, samples: list[RpnSample]) -> None:
+    _write_jsonl(path, ({"features": [float(v) for v in sample.features],
+                         "label": sample.label.index} for sample in samples))
 
 
 def write_rin_samples(path: str, samples: list[RinSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps({"features": [float(v) for v in sample.features],
-                                 "label": bool(sample.label)}))
-            fh.write("\n")
-
-
-def _read_jsonl(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: not valid JSON ({exc})") from None
-
-
-def _read_features(doc: object, lineno: int, dim: int) -> np.ndarray:
-    _require(isinstance(doc, dict), f"line {lineno}", "must be a JSON object")
-    numbers = _finite_numbers(doc.get("features"))
-    _require(numbers is not None and len(numbers) == dim,
-             f"line {lineno}.features", f"must be a list of {dim} finite numbers")
-    return numbers
-
-
-def read_rpn_samples(path: str) -> list[RpnSample]:
-    samples = []
-    for lineno, doc in _read_jsonl(path):
-        features = _read_features(doc, lineno, PAIR_FEATURE_DIM)
-        label = doc.get("label")
-        _require(not isinstance(label, bool) and isinstance(label, int)
-                 and 0 <= label < len(CATEGORIES),
-                 f"line {lineno}.label", f"must be a category index, got {label!r}")
-        samples.append(RpnSample(features, CATEGORIES[label]))
-    return samples
-
-
-def read_rin_samples(path: str) -> list[RinSample]:
-    samples = []
-    for lineno, doc in _read_jsonl(path):
-        features = _read_features(doc, lineno, RIN_FEATURE_DIM)
-        label = doc.get("label")
-        _require(isinstance(label, bool), f"line {lineno}.label",
-                 f"must be true or false, got {label!r}")
-        samples.append(RinSample(features, label))
-    return samples
+    _write_jsonl(path, ({"features": [float(v) for v in sample.features],
+                         "label": bool(sample.label)} for sample in samples))
 
 
 def write_scenes(path: str, scenes: list[Scene]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for scene in scenes:
-            fh.write(json.dumps(scene_to_json(scene)))
-            fh.write("\n")
+    _write_jsonl(path, map(scene_to_json, scenes))
+
+
+def _read_jsonl(path: str, what: str):
+    """(line number, document) per non-blank line; a decode error names ``what``, file and line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode reads lines
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            doc = json.loads(line)
+        except (RecursionError, ValueError) as exc:
+            raise _decode_error(exc, DatasetFormatError, f"{what} {path} line {lineno}") from None
+        yield lineno, doc
+
+
+def _read_samples(path: str, what: str, dim: int, expected: str, valid_label):
+    for lineno, doc in _read_jsonl(path, what):
+        _require(isinstance(doc, dict), f"line {lineno}", "must be a JSON object")
+        features = _finite_numbers(doc.get("features"))
+        _require(features is not None and len(features) == dim,
+                 f"line {lineno}.features", f"must be a list of {dim} finite numbers")
+        label = doc.get("label")
+        _require(valid_label(label), f"line {lineno}.label", f"must be {expected}, got {label!r}")
+        yield features, label
+
+
+def read_rpn_samples(path: str) -> list[RpnSample]:
+    return [RpnSample(features, CATEGORIES[label]) for features, label in _read_samples(
+        path, "rpn dataset", PAIR_FEATURE_DIM, "a category index",
+        lambda v: not isinstance(v, bool) and isinstance(v, int) and 0 <= v < len(CATEGORIES))]
+
+
+def read_rin_samples(path: str) -> list[RinSample]:
+    return [RinSample(features, label) for features, label in _read_samples(
+        path, "rin dataset", RIN_FEATURE_DIM, "true or false", lambda v: isinstance(v, bool))]
 
 
 def read_scenes(path: str) -> list[Scene]:
     scenes = []
-    for lineno, doc in _read_jsonl(path):
+    for lineno, doc in _read_jsonl(path, "scene corpus"):
         try:
             scenes.append(scene_from_json(doc))
         except SceneFormatError as exc:

@@ -64,18 +64,18 @@ def validate_rin(model: MlpModel) -> None:
     _check_shape(model, *_RIN_SHAPE, "informativeness")
 
 
+def _unit_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
+    """(..., 4) pixel boxes over the image side, clamped into [0, 1]: both nets' box features."""
+    return np.minimum(np.maximum(boxes / np.array([width, height, width, height]), 0.0), 1.0)
+
+
 def encode_pair(scene: Scene, target_id: int, reference_id: int) -> np.ndarray:
     """Normalized (x, y, w, h) of target then reference, clamped into [0, 1]."""
     if target_id == reference_id:
         raise ValueError("target and reference must be distinct objects")
-    target = scene.object_by_id(target_id)
-    reference = scene.object_by_id(reference_id)
-    w, h = scene.image_width, scene.image_height
-    raw = np.array([
-        target.box.x / w, target.box.y / h, target.box.w / w, target.box.h / h,
-        reference.box.x / w, reference.box.y / h, reference.box.w / w, reference.box.h / h,
-    ])
-    return np.clip(raw, 0.0, 1.0)
+    t, r = (scene.object_by_id(oid).box for oid in (target_id, reference_id))
+    boxes = np.array([[t.x, t.y, t.w, t.h], [r.x, r.y, r.w, r.h]])
+    return _unit_boxes(boxes, scene.image_width, scene.image_height).reshape(-1)
 
 
 def encode_relation(scene: Scene, target_id: int, reference_id: int,
@@ -185,10 +185,9 @@ def _scene_pairs(scene: Scene) -> tuple[list[int], np.ndarray, np.ndarray]:
     ids = scene.object_ids()
     if len(ids) < 2:
         raise ValueError("scene must contain at least 2 objects")
-    w, h = scene.image_width, scene.image_height
-    boxes = np.array([[o.box.x, o.box.y, o.box.w, o.box.h] for o in map(scene.object_by_id, ids)],
-                     dtype=float)
-    boxes = np.minimum(np.maximum(boxes / np.array([w, h, w, h]), 0.0), 1.0)  # np.clip, cheaper
+    boxes = _unit_boxes(np.array([[o.box.x, o.box.y, o.box.w, o.box.h]
+                                  for o in map(scene.object_by_id, ids)], dtype=float),
+                        scene.image_width, scene.image_height)
     pairs = ~np.eye(len(ids), dtype=bool)
     return ids, pairs, boxes[np.array(np.nonzero(pairs)).T].reshape(-1, 2 * boxes.shape[1])
 

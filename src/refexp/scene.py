@@ -217,13 +217,22 @@ def _finite_numbers(values: object) -> np.ndarray | None:
     return numbers if np.isfinite(numbers).all() else None
 
 
+def _decode_error(exc: Exception, error: type[ValueError], what: str) -> ValueError:
+    """``exc``, a ``RecursionError`` or ``ValueError`` of decoding ``what``, as ``error``."""
+    if isinstance(exc, UnicodeDecodeError):
+        return error(f"{what} is not UTF-8 text")
+    if isinstance(exc, RecursionError):
+        return error(f"{what} is too deeply nested")
+    return error(f"{what} is not valid JSON: {exc}")  # or an integer past Python's digit limit
+
+
 def _read_json(path: str, error: type[ValueError], what: str) -> object:
     """The JSON document in ``path``; a decode error is raised as ``error`` naming ``what``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{what} is not valid JSON: {exc}") from None
+        except (RecursionError, ValueError) as exc:
+            raise _decode_error(exc, error, f"{what} {path}") from None
 
 
 def _reject_keys(doc: dict, keys: dict, where: str) -> None:

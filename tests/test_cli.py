@@ -69,14 +69,29 @@ class TestGeneration:
         assert main(["gen-data", "rin", "--out", str(out), "-n", "48"]) == 0
         assert len(read_rin_samples(str(out))) == 48
 
-    @pytest.mark.parametrize("kind, n, digest", [
-        ("rpn", "600", "c7d5e144bd4db32c52133914c746580a2ad1043753b4434b4c9151dfa3f396ab"),
-        ("rin", "800", "2eb05446f881b773cfce7c1b86759442f87e69ccb67151f25392ef90b0ba7915"),
-    ])
-    def test_gen_data_bytes_are_pinned(self, tmp_path, kind, n, digest):
-        # the bytes written for a seed move only with a deliberate change to the data
-        out = tmp_path / f"{kind}.jsonl"
-        assert main(["gen-data", kind, "--out", str(out), "-n", n, "--seed", "0"]) == 0
+    @pytest.mark.parametrize("argv, digest", [
+        (["gen-data", "rpn", "-n", "600", "--seed", "0"],
+         "c7d5e144bd4db32c52133914c746580a2ad1043753b4434b4c9151dfa3f396ab"),
+        (["gen-data", "rin", "-n", "800", "--seed", "0"],
+         "2eb05446f881b773cfce7c1b86759442f87e69ccb67151f25392ef90b0ba7915"),
+        (["gen-scenes", "--count", "40", "--seed", "3"],
+         "c868738be870014aa7fa5894d5febe507bc0de8e5bf709d02505803733964ba0"),
+        (["gen-scenes", "--count", "40", "--style", "mirrored", "--seed", "7"],
+         "61e6ea54cd707a590b72babd12b7daf32776a930f1d9a6f02afe60a025cb573c"),
+        (["extract-vg", "rpn", "{annotations}"],
+         "48213b79317911a58e726b4c744847af0e932f5575274cefb192a48ac5937666"),
+        (["extract-vg", "rin", "{annotations}"],
+         "a10e0f30234fbd675886e9913d96417db3da08bf002a3266b9b31c631deccedd"),
+    ], ids=["gen-data-rpn", "gen-data-rin", "gen-scenes-random", "gen-scenes-mirrored",
+            "extract-vg-rpn", "extract-vg-rin"])
+    def test_gen_data_bytes_are_pinned(self, tmp_path, argv, digest):
+        # the bytes written for a seed (or an annotation file) move only with a
+        # deliberate change to the data; extract-vg reads crowded_annotations()
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps(crowded_annotations()))
+        out = tmp_path / "out.jsonl"
+        argv = [a.format(annotations=annotations) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -373,6 +388,11 @@ class TestCompareAndOracle:
         assert "error: scene 2 has 1 object;" in capsys.readouterr().err
 
 
+NESTED = b"[" * 100_000
+NOT_UTF8 = "{}".encode("utf-16")  # starts with the byte-order mark ff fe
+SCENE_LINE = json.dumps(scene_to_json(two_books_and_mouse())).encode() + b"\n"
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -438,6 +458,38 @@ class TestUsage:
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, content, message", [
+        (["describe", "{bad}", "--target", "0", "--rpn", "{rpn}", "--rin", "{rin}"],
+         NESTED, "scene {bad} is too deeply nested"),
+        (["compare", "{bad}", "--rpn", "{rpn}", "--rin", "{rin}"],
+         SCENE_LINE + NESTED, "scene corpus {bad} line 2 is too deeply nested"),
+        (["extract-vg", "rin", "{bad}", "--out", "{tmp}/d.jsonl"],
+         NESTED, "annotation file {bad} is too deeply nested"),
+        (["describe", "{bad}", "--target", "0", "--rpn", "{rpn}", "--rin", "{rin}"],
+         NOT_UTF8, "scene {bad} is not UTF-8 text"),
+        (["describe", "{scene}", "--target", "0", "--rpn", "{bad}", "--rin", "{rin}"],
+         NOT_UTF8, "weights file {bad} is not UTF-8 text"),
+        (["compare", "{bad}", "--rpn", "{rpn}", "--rin", "{rin}"],
+         SCENE_LINE + NOT_UTF8, "scene corpus {bad} line 2 is not UTF-8 text"),
+        (["train", "rpn", "{bad}", "--out", "{tmp}/m.json"],
+         NOT_UTF8, "rpn dataset {bad} line 1 is not UTF-8 text"),
+        (["describe", "{bad}", "--target", "0", "--rpn", "{rpn}", "--rin", "{rin}"],
+         b"[" + b"1" * 5000 + b"]", "scene {bad} is not valid JSON: Exceeds the limit"),
+    ], ids=["nested-scene", "nested-corpus", "nested-annotations", "utf16-scene",
+            "utf16-weights", "utf16-corpus", "utf16-dataset", "long-int-scene"])
+    def test_undecodable_input_is_usage_error(self, tmp_path, capsys, model_files, argv,
+                                              content, message):
+        """A file nested past the recursion limit, not in UTF-8 or holding an integer
+        too long for Python to read exits 2 with one line that names its kind, its
+        path and, in a JSONL file, the line."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        names = dict(bad=bad, rpn=model_files[0], rin=model_files[1], tmp=tmp_path,
+                     scene=write_scene_file(tmp_path, two_books_and_mouse()))
+        assert main([a.format(**names) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(**names)}") and err.count("\n") == 1
 
     def test_extract_vg_missing_file(self, tmp_path, capsys):
         code = main(["extract-vg", "rpn", str(tmp_path / "nope.json"),

@@ -16,7 +16,7 @@ from refexp.datagen import (DEFAULT_TYPE_POOL, DatasetFormatError, SceneGenSpec,
                             synth_rin_dataset, synth_rpn_dataset, write_rin_samples,
                             write_rpn_samples, write_scenes)
 from refexp.rules import dominant_category, rule_holds
-from refexp.scene import RelationCategory
+from refexp.scene import RelationCategory, scene_to_json
 
 from helpers import crowded_scene_doc
 
@@ -189,6 +189,31 @@ class TestJsonlRoundTrips:
             read_rin_samples(str(path))
 
 
+    @pytest.mark.parametrize("read, what", [(read_rpn_samples, "rpn dataset"),
+                                            (read_rin_samples, "rin dataset"),
+                                            (read_scenes, "scene corpus")])
+    @pytest.mark.parametrize("content, problem", [(b"[" * 100_000, "is too deeply nested"),
+                                                  (b"\xff\xfe{}", "is not UTF-8 text")],
+                             ids=["nested", "not-utf8"])
+    def test_undecodable_line_is_named(self, tmp_path, read, what, content, problem):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"\n" + content + b"\n")
+        with pytest.raises(DatasetFormatError) as info:
+            read(str(path))
+        assert str(info.value) == f"{what} {path} line 2 {problem}"
+
+    def test_lines_end_as_in_text_mode(self, tmp_path):
+        """\\n, \\r\\n and a lone \\r each end a line, and blank lines are counted."""
+        scenes = generate_scenes(SceneGenSpec(seed=2), 3)
+        first, second, third = (json.dumps(scene_to_json(s)) for s in scenes)
+        path = tmp_path / "scenes.jsonl"
+        path.write_bytes(f"{first}\r\n\r{second}\r{third}\n \n".encode())
+        assert read_scenes(str(path)) == scenes
+        path.write_bytes(f"{first}\r\n\r{second}\r{third}\n \n{{bad".encode())
+        with pytest.raises(DatasetFormatError, match=r"line 6\b.*not valid JSON"):
+            read_scenes(str(path))
+
+
 class TestPredicates:
     def test_normalization(self):
         assert normalize_predicate("  To   THE Left of ") == "to the left of"
@@ -316,6 +341,16 @@ class TestAnnotations:
         assert any(s.label for s in samples)
         for s in samples:
             assert s.features.shape == (14,)
+
+    def test_negative_zero_corner_written_as_zero(self, tmp_path):
+        """The extractors encode boxes as encode_pair does: a -0.0 corner is +0.0."""
+        box = {"x": -0.0, "y": 10, "w": 10, "h": 10}
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps([{"image_id": 1, "width": 100, "height": 100, "relationships": [
+            {"predicate": "left of", "subject": box, "object": dict(box, x=50, y=-0.0)}]}]))
+        for extract in (extract_rpn_dataset, extract_rin_dataset):
+            samples = extract(str(path))
+            assert samples and not any(np.signbit(s.features).any() for s in samples)
 
     def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
         path = tmp_path / "ann.json"

@@ -421,6 +421,22 @@ def test_synthesis_logs_its_work_at_debug(monkeypatch, caplog, kind, synth):
     assert len(calls) == 1 + -(-(len(drawn) - 40) // 2) > 1
 
 
+@pytest.mark.parametrize("synth", [synth_rpn_dataset, synth_rin_dataset])
+def test_rule_table_scores_only_distinct_real_pairs(monkeypatch, synth):
+    """Both synthesizers score a block as flat (pairs, 4) target and reference
+    rows: each ordered pair of distinct boxes of a drawn scene once, in (scene,
+    target, reference) order, and no padding."""
+    drawn, calls = count_scene_draws(monkeypatch), []
+    monkeypatch.setattr(datagen, "rule_table", lambda *args: calls.append(args) or rule_table(*args))
+    monkeypatch.setattr(datagen, "_BLOCK_STEPS", 16)
+    synth(SceneGenSpec(seed=4, min_objects=2, max_objects=9), 40)
+    assert calls and all(t.ndim == r.ndim == 2 for t, r, *_ in calls)
+    pairs = [(b[i], b[j]) for b in drawn for i in range(len(b)) for j in range(len(b)) if i != j]
+    for side, rows in enumerate(zip(*calls)):
+        if side < 2:
+            np.testing.assert_array_equal(np.concatenate(rows), [pair[side] for pair in pairs])
+
+
 LEGACY_RPN_DIGEST = "95d89314f5c54d1cea3cad2b36d188160037efbadc358fcf70e4c7e3c086e5c0"
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from refexp.mlp import MlpModel, init_model
 from refexp.networks import (NetworkShapeError, PAIR_FEATURE_DIM, RIN_DIMS,
-                             RIN_FEATURE_DIM, RPN_DIMS, encode_pair,
+                             RIN_FEATURE_DIM, RPN_DIMS, _scene_pairs, encode_pair,
                              encode_relation, presence_scores, rin_layer_specs,
                              rpn_layer_specs, score_scene, validate_rin, validate_rpn)
 from refexp.pipeline import EmptyCandidatesError, build_candidate_sets, describe
@@ -52,6 +52,15 @@ class TestEncodePair:
     def test_unknown_id_rejected(self, pair_scene):
         with pytest.raises(UnknownObjectError):
             encode_pair(pair_scene, 0, 7)
+
+    def test_negative_zero_corner_encodes_as_zero(self):
+        """encode_pair and the scene-wide encode share one box format, so a -0.0
+        corner gives the same +0.0 bits in both."""
+        scene = make_scene([(0, "a", (-0.0, 5.0, 10.0, 10.0)), (1, "b", (20.0, -0.0, 10.0, 10.0))])
+        _, _, rows = _scene_pairs(scene)
+        for row, (a, b) in zip(rows, [(0, 1), (1, 0)]):
+            assert encode_pair(scene, a, b).tobytes() == row.tobytes()
+        assert not np.signbit(rows).any()
 
     def test_values_stay_normalized(self):
         scene = make_scene([(0, "a", (90, 90, 10, 10)), (1, "b", (0, 0, 100, 100))])
