@@ -528,28 +528,29 @@ def write_scenes(path: str, scenes: list[Scene]) -> None:
 
 
 def _read_jsonl(path: str, what: str):
-    """(line number, document) per non-blank line; a decode error names ``what``, file and line."""
+    """("<what> <path> line N", document) per non-blank line; a decode error names the same."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode reads lines
     for lineno, raw in enumerate(lines, start=1):
+        where = f"{what} {path} line {lineno}"
         try:
             line = raw.decode("utf-8").strip()
             if not line:
                 continue
             doc = json.loads(line)
         except (RecursionError, ValueError) as exc:
-            raise _decode_error(exc, DatasetFormatError, f"{what} {path} line {lineno}") from None
-        yield lineno, doc
+            raise _decode_error(exc, DatasetFormatError, where) from None
+        yield where, doc
 
 
 def _read_samples(path: str, what: str, dim: int, expected: str, valid_label):
-    for lineno, doc in _read_jsonl(path, what):
-        _require(isinstance(doc, dict), f"line {lineno}", "must be a JSON object")
+    for where, doc in _read_jsonl(path, what):
+        _require(isinstance(doc, dict), where, "must be a JSON object")
         features = _finite_numbers(doc.get("features"))
         _require(features is not None and len(features) == dim,
-                 f"line {lineno}.features", f"must be a list of {dim} finite numbers")
+                 f"{where}.features", f"must be a list of {dim} finite numbers")
         label = doc.get("label")
-        _require(valid_label(label), f"line {lineno}.label", f"must be {expected}, got {label!r}")
+        _require(valid_label(label), f"{where}.label", f"must be {expected}, got {label!r}")
         yield features, label
 
 
@@ -566,11 +567,11 @@ def read_rin_samples(path: str) -> list[RinSample]:
 
 def read_scenes(path: str) -> list[Scene]:
     scenes = []
-    for lineno, doc in _read_jsonl(path, "scene corpus"):
+    for where, doc in _read_jsonl(path, "scene corpus"):
         try:
             scenes.append(scene_from_json(doc))
         except SceneFormatError as exc:
-            raise DatasetFormatError(f"line {lineno}: {exc}") from None
+            raise DatasetFormatError(f"{where}: {exc}") from None
     return scenes
 
 

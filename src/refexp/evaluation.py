@@ -15,8 +15,8 @@ from .krreg import krreg_describe
 from .mlp import MlpModel
 from .pipeline import EmptyCandidatesError, describe, describe_oracle
 from .rules import rule_holds
-from .scene import (CATEGORIES, PHRASE_FRAGMENTS, PHRASE_TEMPLATE, PipelineConfig,
-                    ReferringExpression, RelationCategory, Scene, canonical_type_name)
+from .scene import (_PREFIX, _SEPARATOR, _SEPARATORS, PipelineConfig, ReferringExpression,
+                    RelationCategory, Scene, canonical_type_name)
 
 UNAMBIGUOUS = "unambiguous"
 AMBIGUOUS = "ambiguous"
@@ -26,51 +26,33 @@ class OracleTypeError(LookupError):
     """The phrase names an object type that does not occur in the scene."""
 
 
-# the template's prefix, and each category's separator between the two type names
-_PREFIX, _BEFORE, _AFTER, _ = PHRASE_TEMPLATE.split("{}")
-_SEPARATORS = [(cat, _BEFORE + PHRASE_FRAGMENTS[cat] + _AFTER) for cat in CATEGORIES]
-
-
-def parse_phrase(phrase: str) -> list[tuple[str, RelationCategory, str]]:
-    """Every split of a rendered phrase into canonical (target type, category,
-    reference type). A type name may itself hold a relation fragment, so a phrase
-    can have several readings; they come in category order, then left to right."""
+def parse_phrase(phrase: str) -> tuple[str, RelationCategory, str]:
+    """A rendered phrase as canonical (target type, category, reference type). It
+    splits at the first separator; no type name may hold another, so a phrase
+    holding none or several is refused."""
     if not phrase.startswith(_PREFIX):
         raise ValueError(f"phrase does not start with {_PREFIX!r}: {phrase!r}")
-    rest = phrase[len(_PREFIX):]
-    readings = []
-    for cat, separator in _SEPARATORS:
-        at = rest.find(separator)
-        while at != -1:  # every occurrence, overlapping ones included
-            readings.append((canonical_type_name(rest[:at]), cat,
-                             canonical_type_name(rest[at + len(separator):])))
-            at = rest.find(separator, at + 1)
-    if not readings:
+    match = _SEPARATOR.search(phrase, len(_PREFIX))
+    if match is None:
         raise ValueError(f"phrase contains no relation fragment: {phrase!r}")
-    return readings
+    return (canonical_type_name(phrase[len(_PREFIX):match.start()]), _SEPARATORS[match[0]],
+            canonical_type_name(phrase[match.end():]))
 
 
 def ambiguity_oracle(scene: Scene, expression: ReferringExpression) -> str:
     """Judge whether the phrase pins down its target for a rule-following hearer.
 
-    Only readings whose two types occur in the scene count, and with several the
-    hearer cannot tell which relation is meant. With one, the phrase is
-    unambiguous iff exactly one (stated-type target, stated-type reference)
-    pair of distinct objects satisfies the stated rule, and that pair's target
-    is the intended one. Everything else, including a uniquely satisfied pair
-    with the wrong target, is ambiguous.
+    The phrase must read one way (``parse_phrase``). It is unambiguous iff exactly
+    one (stated-type target, stated-type reference) pair of distinct objects
+    satisfies the stated rule, and that pair's target is the intended one.
+    Everything else, including a uniquely satisfied pair with the wrong target,
+    is ambiguous.
     """
-    readings = []
-    for target_type, category, reference_type in parse_phrase(expression.phrase):
-        targets = [o for o in scene.objects if o.type_name == target_type]
-        references = [o for o in scene.objects if o.type_name == reference_type]
-        if targets and references:
-            readings.append((targets, category, references))
-    if not readings:
-        raise OracleTypeError(f"no reading of {expression.phrase!r} names two types of the scene")
-    if len(readings) > 1:
-        return AMBIGUOUS
-    [(targets, category, references)] = readings
+    target_type, category, reference_type = parse_phrase(expression.phrase)
+    targets = [o for o in scene.objects if o.type_name == target_type]
+    references = [o for o in scene.objects if o.type_name == reference_type]
+    if not (targets and references):
+        raise OracleTypeError(f"{expression.phrase!r} names a type the scene lacks")
     pairs = [(t, r) for t in targets for r in references
              if t.id != r.id and rule_holds(t.box, r.box, category)]
     if len(pairs) == 1 and pairs[0][0].id == expression.target_id:

@@ -23,10 +23,10 @@ class EmptyCandidatesError(Exception):
 @dataclass(frozen=True, eq=False)
 class RelationSets:
     """One target's selection stages over ``scored`` at ``threshold``; ``target`` is
-    the target's row. ``above_threshold`` is NaN wherever no relation is above the
-    threshold and ``best`` masks its per-(target, category) maxima; both are built
-    on first read, once per scene and threshold. ``above_threshold.where(mask)``
-    lists relations."""
+    the target's row. ``above_threshold`` is NaN wherever ``scored.present(threshold)``
+    is false and ``best`` masks its per-(target, category) maxima; each is built on
+    first read, once per scene and threshold. ``above_threshold.where(mask)`` lists
+    relations."""
 
     scored: ScoredScene
     threshold: float
@@ -34,15 +34,15 @@ class RelationSets:
 
     @property
     def above_threshold(self) -> ScoredScene:
-        return self._stages()[0]
+        scored, above = self.scored, self.scored.present(self.threshold)
+        return scored.memo(("above_threshold", self.threshold), lambda: ScoredScene(
+            scored.ids, np.where(above, scored.probabilities, np.nan),
+            np.where(above, scored.confidences_at(above), np.nan)))
 
     @property
     def best(self) -> np.ndarray:
-        return self._stages()[1]
-
-    def _stages(self) -> tuple:
         scored, threshold = self.scored, self.threshold
-        return scored.memo(("stages", threshold), lambda: _scene_stages(scored, threshold))
+        return scored.memo(("best", threshold), lambda: _scene_stages(scored, threshold))
 
 
 def _preference(rel: SpatialRelation) -> tuple:
@@ -51,17 +51,15 @@ def _preference(rel: SpatialRelation) -> tuple:
     return (rel.confidence, -rel.reference_id, -rel.category.index)
 
 
-def _scene_stages(scored: ScoredScene, threshold: float) -> tuple:
-    """The stages that depend only on the scene and the threshold: the relations
-    above it and the mask of per-(target, category) maxima among them."""
-    above = scored.probabilities > threshold  # NaN compares False
-    confidences = np.where(above, scored.confidences_at(above), np.nan)
-    # per (target, category) the most confident relation; of tied references, the lowest id
-    confidence = np.where(above, confidences, -np.inf)
+def _scene_stages(scored: ScoredScene, threshold: float) -> np.ndarray:
+    """The mask of per-(target, category) maxima among the relations above the
+    threshold: of each, the most confident; of tied references, the lowest id."""
+    above = scored.present(threshold)
+    confidence = np.where(above, scored.confidences_at(above), -np.inf)
     best = above & (confidence == confidence.max(axis=1, keepdims=True, initial=-np.inf))
     best &= best.cumsum(axis=1) == 1
     best.flags.writeable = False  # shared by the scene's targets, like the arrays it masks
-    return ScoredScene(scored.ids, np.where(above, scored.probabilities, np.nan), confidences), best
+    return best
 
 
 def build_candidate_sets(scored: ScoredScene, target_id: int,
@@ -81,7 +79,7 @@ def eliminate_ambiguous(sets: RelationSets, scene: Scene) -> tuple[SpatialRelati
     survivors are built as relations, and the competitors only for a target with
     a type-mate."""
     scored, t = sets.scored, sets.target
-    own = scored.probabilities[t] > sets.threshold  # NaN compares False
+    own = scored.present(sets.threshold)[t]
     return scored.where(distinct_relations(scene, scored.ids, t, own, lambda: sets.best), t)
 
 

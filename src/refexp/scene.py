@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -60,6 +61,12 @@ PHRASE_FRAGMENTS: dict[RelationCategory, str] = {
 }
 # "The <target type> <fragment> the <reference type>"; parse_phrase reads the same template.
 PHRASE_TEMPLATE = "The {} {} the {}"
+# The template's prefix, and what it puts between the two type names mapped to its
+# category. No type name holds one, so a phrase holds exactly one. No separator starts
+# inside another before its last space, so the first one found is the phrase's.
+_PREFIX, _BEFORE, _AFTER, _ = PHRASE_TEMPLATE.split("{}")
+_SEPARATORS = {_BEFORE + PHRASE_FRAGMENTS[cat] + _AFTER: cat for cat in CATEGORIES}
+_SEPARATOR = re.compile("|".join(map(re.escape, _SEPARATORS)))
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,13 @@ class BoundingBox:
 
 
 def canonical_type_name(name: str) -> str:
-    """Lower-case, whitespace-collapsed object type name."""
+    """Lower-case, whitespace-collapsed object type name. A name holding a separator,
+    at its edges too (where the template's own spaces complete it), is refused."""
     canon = " ".join(str(name).split()).lower()
     if not canon:
         raise ValueError("object type name must be non-empty")
+    if " " in canon and _SEPARATOR.search(f" {canon} "):  # every separator holds spaces
+        raise ValueError(f"object type name {canon!r} holds a relation phrase")
     return canon
 
 

@@ -180,7 +180,8 @@ class TestTrain:
         weights = tmp_path / "m.json"
         code = main(["train", "rpn", str(data), "--out", str(weights), "--epochs", "2"])
         assert code == 2
-        assert "line 4.features" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: rpn dataset {data} line 4.features: "
+                                           "must be a list of 8 finite numbers\n")
         assert not weights.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -268,6 +269,20 @@ class TestDescribe:
         assert code == 2
         assert "257 objects; at most 256" in capsys.readouterr().err
 
+    def test_type_name_holding_a_fragment_is_usage_error(self, tmp_path, capsys, model_files):
+        """A scene file whose type name starts with a separator is refused before
+        scoring, naming the object."""
+        rpn_path, rin_path = model_files
+        doc = scene_to_json(two_books_and_mouse())
+        doc["objects"][2]["type"] = "behind the book"
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(doc))
+        code = main(["describe", str(scene_path), "--target", "0",
+                     "--rpn", rpn_path, "--rin", rin_path])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: objects[2]: object type name "
+                                           "'behind the book' holds a relation phrase\n")
+
     def test_missing_scene_file_is_usage_error(self, tmp_path, capsys, model_files):
         rpn_path, rin_path = model_files
         code = main(["describe", str(tmp_path / "nope.json"), "--target", "0",
@@ -336,20 +351,21 @@ class TestCompareAndOracle:
         assert "agreement" in capsys.readouterr().out
 
     def test_compare_type_name_holding_a_fragment(self, tmp_path, capsys, model_files):
-        """A type named "shelf to the right of the table" makes a phrase with two
-        fragments; the judge keeps the one reading whose types occur in the scene."""
+        """A type named "shelf to the right of the table" would make a phrase that
+        reads two ways; the corpus is refused, naming its file, line and object."""
         rpn_path, rin_path = model_files
         corpus = tmp_path / "corpus.jsonl"
-        write_scenes(str(corpus), [make_scene([
-            (0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
-            (2, "cup", (75, 40, 10, 10))])])
+        doc = scene_to_json(two_books_and_mouse())
+        doc["objects"][1]["type"] = "Shelf to the right  of the table"
+        corpus.write_text(json.dumps(scene_to_json(two_books_and_mouse())) + "\n"
+                          + json.dumps(doc) + "\n")
         report_path = tmp_path / "report.json"
         code = main(["compare", str(corpus), "--rpn", rpn_path, "--rin", rin_path,
                      "--out", str(report_path)])
-        assert code == 0, capsys.readouterr().err
-        records = json.loads(report_path.read_text())["records"]
-        assert [r["ours"]["phrase"] for r in records if r["target_id"] == 0] == [
-            "The cup to the left of the shelf to the right of the table"]
+        assert code == 2 and not report_path.exists()
+        assert capsys.readouterr().err == (
+            f"error: scene corpus {corpus} line 2: objects[1]: object type name "
+            "'shelf to the right of the table' holds a relation phrase\n")
 
     def test_eval_oracle_generated_scenes(self, capsys, model_files):
         rpn_path, rin_path = model_files

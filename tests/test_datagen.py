@@ -161,31 +161,38 @@ class TestJsonlRoundTrips:
     def test_oversized_scene_is_named(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         path.write_text(json.dumps(crowded_scene_doc(3)) + "\n" + json.dumps(crowded_scene_doc(257)) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 2: scene has 257 objects"):
+        with pytest.raises(DatasetFormatError) as info:
             read_scenes(str(path))
+        assert str(info.value) == (f"scene corpus {path} line 2: scene has 257 objects; "
+                                   "at most 256 are accepted")
 
     def test_bad_line_is_named(self, tmp_path):
         path = tmp_path / "rpn.jsonl"
         path.write_text('{"features": [0.1], "label": 0}\n')
-        with pytest.raises(DatasetFormatError, match="line 1"):
+        with pytest.raises(DatasetFormatError) as info:
             read_rpn_samples(str(path))
+        assert str(info.value) == (f"rpn dataset {path} line 1.features: "
+                                   "must be a list of 8 finite numbers")
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "rpn.jsonl"
         good = [0.1] * 8
         path.write_text(json.dumps({"features": good, "label": 9}) + "\n")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError) as info:
             read_rpn_samples(str(path))
+        assert str(info.value) == (f"rpn dataset {path} line 1.label: "
+                                   "must be a category index, got 9")
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_feature_rejected(self, tmp_path, bad):
         path = tmp_path / "rpn.jsonl"
         line = json.dumps({"features": [0.1] * 8, "label": 0}).replace("0.1", bad, 1)
         path.write_text(line + "\n")
-        with pytest.raises(DatasetFormatError, match="line 1.features"):
+        where = f"dataset {re.escape(str(path))} line 1\\.features: "
+        with pytest.raises(DatasetFormatError, match="^rpn " + where):
             read_rpn_samples(str(path))
         path.write_text(json.dumps({"features": [0.1] * 14, "label": True}).replace("0.1", bad, 1))
-        with pytest.raises(DatasetFormatError, match="line 1.features"):
+        with pytest.raises(DatasetFormatError, match="^rin " + where):
             read_rin_samples(str(path))
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import refexp.pipeline as pipeline
 from refexp.datagen import mirrored_duplicate_scenes
@@ -6,11 +7,36 @@ from refexp.evaluation import (AMBIGUOUS, UNAMBIGUOUS, CaseRecord, EvalReport,
                                MethodCounts, OracleTypeError, ambiguity_oracle,
                                compare_corpus, parse_phrase, pipeline_oracle_check)
 from refexp.mlp import MlpModel
-from refexp.scene import ReferringExpression, RelationCategory, render_phrase
+from refexp.scene import (PHRASE_FRAGMENTS, PHRASE_TEMPLATE, ReferringExpression,
+                          RelationCategory, canonical_type_name, render_phrase)
 
 from helpers import make_scene, mixed_corpus, two_books_and_mouse
 
 R = RelationCategory
+
+# what the phrase template puts between the two type names, one per category
+SEPARATORS = [f" {fragment} the " for fragment in PHRASE_FRAGMENTS.values()]
+# type-name pieces: one word of the separators or "cup" or "shelf", or a run of a
+# separator's consecutive words, so that drawn names hold and straddle separators often
+PIECES = sorted({(word,) for word in ["cup", "shelf"]} | {
+    tuple(words[i:j]) for words in (s.split() for s in SEPARATORS)
+    for i in range(len(words)) for j in range(i + 1, len(words) + 1)})
+SPACE = st.sampled_from([" ", "  ", "\t", " \n "])
+
+
+@st.composite
+def type_names(draw):
+    """1-6 words in random case, joined and padded by random whitespace."""
+    words = [word for piece in draw(st.lists(st.sampled_from(PIECES), min_size=1, max_size=6))
+             for word in piece][:6]
+    return "".join(draw(SPACE) + draw(st.sampled_from([word, word.upper(), word.capitalize()]))
+                   for word in words) + draw(st.sampled_from(["", " "]))
+
+
+def separators_in(text):
+    """How many separators ``text`` holds, overlapping occurrences counted."""
+    return sum(text.startswith(separator, at) for separator in SEPARATORS
+               for at in range(len(text)))
 
 
 def expression(scene, target_id, reference_id, category):
@@ -24,17 +50,45 @@ class TestParsePhrase:
     def test_round_trip_each_category(self, category):
         scene = make_scene([(0, "book", (0, 0, 5, 5)), (1, "sports ball", (10, 10, 5, 5))])
         phrase = render_phrase(scene.object_by_id(0), scene.object_by_id(1), category)
-        assert parse_phrase(phrase) == [("book", category, "sports ball")]
+        assert parse_phrase(phrase) == ("book", category, "sports ball")
 
     def test_every_reading_of_a_type_holding_a_fragment(self):
-        phrase = "The cup to the left of the shelf to the left of the table behind the bed"
-        assert parse_phrase(phrase) == [
-            ("cup", R.LEFT, "shelf to the left of the table behind the bed"),
-            ("cup to the left of the shelf", R.LEFT, "table behind the bed"),
-            ("cup to the left of the shelf to the left of the table", R.BEHIND, "bed")]
-        # two occurrences of " behind the " sharing a space
-        assert parse_phrase("The cup behind the behind the bed") == [
-            ("cup", R.BEHIND, "behind the bed"), ("cup behind the", R.BEHIND, "bed")]
+        """No type name holds a separator, so a phrase holding several reads more
+        than one way and is refused, overlapping occurrences included."""
+        for phrase, name in [
+                ("The cup to the left of the shelf to the left of the table behind the bed",
+                 "shelf to the left of the table behind the bed"),
+                # two " behind the " sharing a space
+                ("The cup behind the behind the bed", "behind the bed")]:
+            with pytest.raises(ValueError, match=f"type name '{name}' holds a relation phrase"):
+                parse_phrase(phrase)
+
+    @settings(max_examples=300, deadline=None)
+    @given(type_names(), type_names())
+    @example("cup", "to the left of the cup")  # a separator completed by the template's space
+    @example("cup behind the", "bed")
+    @example("behind", "the cup to the")
+    def test_one_reading_per_phrase(self, target, reference):
+        """A type name is refused exactly when, padded with one space on each side,
+        it holds a separator. Two accepted names give, in every category, a phrase
+        holding exactly one separator, which parses back to them; a phrase built
+        from a refused name is refused."""
+        names, accepted = [" ".join(raw.split()).lower() for raw in (target, reference)], 0
+        for raw, name in zip((target, reference), names):
+            if any(separator in f" {name} " for separator in SEPARATORS):
+                with pytest.raises(ValueError, match="holds a relation phrase"):
+                    canonical_type_name(raw)
+            else:
+                assert canonical_type_name(raw) == name
+                accepted += 1
+        for category in R:
+            phrase = PHRASE_TEMPLATE.format(names[0], PHRASE_FRAGMENTS[category], names[1])
+            if accepted == 2:
+                assert separators_in(phrase) == 1
+                assert parse_phrase(phrase) == (names[0], category, names[1])
+            else:
+                with pytest.raises(ValueError):
+                    parse_phrase(phrase)
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(ValueError):
@@ -73,30 +127,28 @@ class TestAmbiguityOracle:
         with pytest.raises(OracleTypeError):
             ambiguity_oracle(scene, claim)
 
-    # "The cup to the left of the shelf to the right of the table" reads as a cup left
-    # of a "shelf to the right of the table" or as a "cup to the left of the shelf"
-    # right of a table; only readings whose two types occur in the scene count
-    @pytest.mark.parametrize("objects, verdict", [
-        ([(0, "cup", (10, 40, 10, 10)), (1, "table", (40, 38, 20, 14))], OracleTypeError),
-        ([(0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
-          (2, "cup", (75, 40, 10, 10))], UNAMBIGUOUS),
-        # both readings count; either one alone would single out object 0
-        ([(0, "cup to the left of the shelf", (75, 40, 10, 10)), (1, "table", (40, 38, 20, 14)),
-          (2, "cup", (10, 40, 10, 10)), (3, "shelf to the right of the table", (90, 5, 5, 5))],
-         AMBIGUOUS),
-        ([(0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
-          (2, "cup to the left of the shelf", (75, 40, 10, 10)), (3, "table", (90, 5, 5, 5))],
-         AMBIGUOUS),
+    # "The cup to the left of the shelf to the right of the table" would read as a cup
+    # left of a "shelf to the right of the table" or as a "cup to the left of the shelf"
+    # right of a table. Neither type name is accepted, and the judge refuses the phrase.
+    @pytest.mark.parametrize("objects", [
+        [(0, "cup", (10, 40, 10, 10)), (1, "table", (40, 38, 20, 14))],
+        [(0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
+         (2, "cup", (75, 40, 10, 10))],
+        [(0, "cup to the left of the shelf", (75, 40, 10, 10)), (1, "table", (40, 38, 20, 14)),
+         (2, "cup", (10, 40, 10, 10)), (3, "shelf to the right of the table", (90, 5, 5, 5))],
+        [(0, "cup", (10, 40, 10, 10)), (1, "shelf to the right of the table", (40, 38, 20, 14)),
+         (2, "cup to the left of the shelf", (75, 40, 10, 10)), (3, "table", (90, 5, 5, 5))],
     ], ids=["no-reading", "one-reading", "two-readings-right-fits", "two-readings-left-fits"])
-    def test_type_names_holding_a_fragment(self, objects, verdict):
-        scene = make_scene(objects)
+    def test_type_names_holding_a_fragment(self, objects):
+        for entry in objects:
+            if entry[1] not in ("cup", "table"):
+                with pytest.raises(ValueError, match=f"type name '{entry[1]}' holds a relation"):
+                    make_scene([entry])
+        objects = [entry for entry in objects if entry[1] in ("cup", "table")]
         claim = ReferringExpression(
             0, 1, R.LEFT, "The cup to the left of the shelf to the right of the table")
-        if verdict is OracleTypeError:
-            with pytest.raises(OracleTypeError):
-                ambiguity_oracle(scene, claim)
-        else:
-            assert ambiguity_oracle(scene, claim) == verdict
+        with pytest.raises(ValueError, match="'shelf to the right of the table' holds a relation"):
+            ambiguity_oracle(make_scene(objects), claim)
 
     def test_same_type_pair_can_still_be_unambiguous(self):
         scene = make_scene([(0, "cup", (10, 40, 10, 10)), (1, "cup", (50, 40, 10, 10))])
